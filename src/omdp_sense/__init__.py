@@ -13,13 +13,12 @@ __version__ = "0.1.0"
 from .errors import (ConvergenceError, OmdpError, ParameterError,
                      SingularSystemError, StructureViolationError,
                      TransductionAbsentError, UsageError)
-from .model import (DetectorParams, DriveConfig, SteadyState,
-                    SusceptibilitySet, ThermalBath, chi_cavity,
+from .model import (DetectorParams, DriveConfig, SteadyState, chi_cavity,
                     chi_cavity_conj, chi_mech, frequency_grid,
                     occupation_temperature, omega_eff, single_photon_coupling,
-                    steady_state, susceptibilities, thermal_occupation)
-from .coefficients import (OutputCoefficients, amplification,
-                           closed_form_coefficients, solve_coefficients)
+                    steady_state, thermal_occupation)
+from .coefficients import (OutputCoefficients, closed_form_coefficients,
+                           solve_coefficients)
 from .spectra import (AddNoise, SpectrumPoint, SpectrumResult, s_add,
                       s_add_resonant, s_add_som, spectrum_sweep)
 from .sql import (GMinAnalytic, GMinNumeric, RMap, SqlResult, SweepResult,
@@ -34,13 +33,11 @@ __all__ = [
     "__version__",
     "OmdpError", "ParameterError", "ConvergenceError", "SingularSystemError",
     "TransductionAbsentError", "StructureViolationError", "UsageError",
-    "DetectorParams", "DriveConfig", "SteadyState", "SusceptibilitySet",
-    "ThermalBath", "chi_cavity", "chi_cavity_conj", "chi_mech",
-    "frequency_grid", "occupation_temperature", "omega_eff",
-    "single_photon_coupling", "steady_state", "susceptibilities",
+    "DetectorParams", "DriveConfig", "SteadyState", "chi_cavity",
+    "chi_cavity_conj", "chi_mech", "frequency_grid", "occupation_temperature",
+    "omega_eff", "single_photon_coupling", "steady_state",
     "thermal_occupation",
-    "OutputCoefficients", "amplification", "closed_form_coefficients",
-    "solve_coefficients",
+    "OutputCoefficients", "closed_form_coefficients", "solve_coefficients",
     "AddNoise", "SpectrumPoint", "SpectrumResult", "s_add", "s_add_resonant",
     "s_add_som", "spectrum_sweep",
     "GMinAnalytic", "GMinNumeric", "RMap", "SqlResult", "SweepResult",

@@ -24,8 +24,9 @@ from .errors import OmdpError, UsageError
 from .model import DetectorParams, frequency_grid, omega_eff
 from .coefficients import closed_form_coefficients, solve_coefficients
 from .spectra import s_add, s_add_resonant, s_add_som, spectrum_sweep
-from .sql import (default_g_range, minimize_over_g_analytic,
-                  minimize_over_g_numeric, r_map, s_min_sweep)
+from .sql import (default_g_range, fit_shot_backaction,
+                  minimize_over_g_analytic, minimize_over_g_numeric, r_map,
+                  s_min_sweep)
 from .sensing import (DEFAULT_RATE_SCALE, MagnetometerConfig, make_report,
                       response_coefficient, s_r, snr)
 
@@ -491,10 +492,12 @@ def cmd_validate(config, emitter):
                     v_coupling=rng.uniform(0.0, 0.4) * p.omega_m1)
         w = rng.uniform(0.9, 1.2) * p.omega_m1
         an = minimize_over_g_analytic(p, w)
-        worst_fit = max(worst_fit, an.residual)
-        nu = minimize_over_g_numeric(
-            lambda g, w_, p=p: s_add(replace(p, g_lin=g), w_).s_add,
-            w, default_g_range(p))
+
+        def ev(g, w_, p=p):
+            return s_add(replace(p, g_lin=g), w_).s_add
+
+        worst_fit = max(worst_fit, fit_shot_backaction(ev, w, an.g_opt)[3])
+        nu = minimize_over_g_numeric(ev, w, default_g_range(p))
         worst_sql = max(worst_sql, _rel(an.s_sql, nu.s_sql))
     report["structure_fit"] = {"worst_residual": worst_fit,
                                "sets": sql_sets, "pass": worst_fit < 1e-8}

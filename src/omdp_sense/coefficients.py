@@ -132,8 +132,3 @@ def closed_form_coefficients(params, omega, b_form="conjugate"):
     c = gcpl * (v * x1 * x2 - x1)
     d = gcpl * (v * x1 * x2 - x2)
     return OutputCoefficients(a, b, c, d, c + d, de)
-
-
-def amplification(params, omega):
-    """Transduction gain |C + D| from the force inputs to the output."""
-    return abs(solve_coefficients(params, omega).e_coef)

@@ -32,10 +32,6 @@ class TransductionAbsentError(OmdpError):
 class StructureViolationError(OmdpError):
     """A quantity expected to follow p/g^2 + q*g^2 + r does not."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class UsageError(OmdpError):
     """Bad command-line or config input."""

@@ -6,8 +6,9 @@ frequency (all defaults in the CLI are expressed that way). Only
 ``thermal_occupation`` and the drive ingestion touch SI constants.
 """
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +40,11 @@ class DetectorParams:
     nth2: float = 0.0
 
     def __post_init__(self):
+        if not (all(map(math.isfinite, (
+                self.delta_prime, self.kappa, self.omega_m1, self.omega_m2,
+                self.gamma1, self.gamma2, self.v_coupling, self.theta,
+                self.nth1, self.nth2))) and cmath.isfinite(self.g_lin)):
+            raise ParameterError("detector parameters must be finite")
         if self.kappa <= 0:
             raise ParameterError("kappa must be positive")
         if self.omega_m1 <= 0 or self.omega_m2 <= 0:
@@ -90,28 +96,6 @@ def single_photon_coupling(omega_c, length, mass, omega_m):
     return (omega_c / length) * math.sqrt(HBAR / (2.0 * mass * omega_m))
 
 
-@dataclass(frozen=True)
-class SusceptibilitySet:
-    chi_c: complex
-    chi_c_dag: complex
-    chi_m1: complex
-    chi_m2: complex
-
-
-@dataclass(frozen=True)
-class ThermalBath:
-    temperature: float
-    omega_m: float
-    n_th: float = field(default=None)
-
-    def __post_init__(self):
-        if self.n_th is None:
-            object.__setattr__(self, "n_th",
-                               thermal_occupation(self.omega_m, self.temperature))
-        if self.n_th < 0:
-            raise ParameterError("n_th must be non-negative")
-
-
 def chi_cavity(omega, delta_prime, kappa):
     """Cavity response 1/(i(delta' - omega) + kappa/2)."""
     if kappa <= 0:
@@ -134,15 +118,6 @@ def chi_mech(omega, omega_m, gamma):
     if omega_m <= 0 or gamma <= 0:
         raise ParameterError("omega_m and gamma must be positive")
     return 1.0 / (omega_m - omega ** 2 / omega_m - 1j * gamma * omega / omega_m)
-
-
-def susceptibilities(params, omega):
-    return SusceptibilitySet(
-        chi_c=chi_cavity(omega, params.delta_prime, params.kappa),
-        chi_c_dag=chi_cavity_conj(omega, params.delta_prime, params.kappa),
-        chi_m1=chi_mech(omega, params.omega_m1, params.gamma1),
-        chi_m2=chi_mech(omega, params.omega_m2, params.gamma2),
-    )
 
 
 def thermal_occupation(omega_m, temperature):

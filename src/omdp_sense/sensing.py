@@ -36,6 +36,10 @@ class MagnetometerConfig:
     convention: str = "power"
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.current, self.probe_size,
+                                       self.field, self.temperature,
+                                       self.conversion))):
+            raise ParameterError("magnetometer parameters must be finite")
         if self.current <= 0:
             raise ParameterError("current must be positive")
         if self.probe_size <= 0:

@@ -25,7 +25,6 @@ class SpectrumPoint:
 @dataclass(frozen=True)
 class SpectrumResult:
     points: tuple
-    params: object
 
 
 def s_add(params, omega):
@@ -36,14 +35,19 @@ def s_add(params, omega):
     """
     if params.g_lin == 0:
         raise TransductionAbsentError("g_lin = 0 carries no signal")
-    co = solve_coefficients(params, omega)
+    sadd, sth = _noise(params, solve_coefficients(params, omega))
+    return AddNoise(s_add=sadd, s_th=sth)
+
+
+def _noise(params, co):
+    """(S_add, S_th) from the output coefficients at one frequency."""
     e = co.e_coef
     if e == 0:
         raise TransductionAbsentError("output transduction vanished")
     sth = (params.gamma1 * params.nth1 * abs(co.c_coef / e) ** 2
            + params.gamma2 * params.nth2 * abs(co.d_coef / e) ** 2)
     quantum = 0.5 * (abs(co.a_coef / e) ** 2 + abs(co.b_coef / e) ** 2)
-    return AddNoise(s_add=quantum + sth, s_th=sth)
+    return quantum + sth, sth
 
 
 def _shot_prefactor(omega, kappa):
@@ -111,11 +115,7 @@ def spectrum_sweep(params, grid):
             raise ParameterError("frequency grid must be strictly increasing")
         last = w
         co = solve_coefficients(params, w)
-        e = co.e_coef
-        if e == 0:
-            raise TransductionAbsentError("output transduction vanished")
-        sth = (params.gamma1 * params.nth1 * abs(co.c_coef / e) ** 2
-               + params.gamma2 * params.nth2 * abs(co.d_coef / e) ** 2)
-        sadd = sth + 0.5 * (abs(co.a_coef / e) ** 2 + abs(co.b_coef / e) ** 2)
-        pts.append(SpectrumPoint(omega=w, s_add=sadd, s_th=sth, a_p=abs(e)))
-    return SpectrumResult(points=tuple(pts), params=params)
+        sadd, sth = _noise(params, co)
+        pts.append(SpectrumPoint(omega=w, s_add=sadd, s_th=sth,
+                                 a_p=abs(co.e_coef)))
+    return SpectrumResult(points=tuple(pts))

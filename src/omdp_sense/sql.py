@@ -1,9 +1,11 @@
 """Quantum-limit extraction: minimize the zero-temperature noise over the coupling.
 
 At T = 0 the additional noise is exactly p/g^2 + q g^2 + r in the (real)
-coupling g, so the minimum 2 sqrt(pq) + r at g = (p/q)^(1/4) can be read off
-a three-point fit. A scan-plus-golden-section search over g provides the
-independent numeric route, and the two are cross-checked continuously.
+coupling g, with p, q and r in closed form from the susceptibilities, so the
+minimum 2 sqrt(pq) + r at g = (p/q)^(1/4) is computed directly. Two
+independent routes check it against the response solver: a three-point fit
+of s_add in g (the structure check) and a scan-plus-golden-section search
+over g (the numeric optimum).
 """
 
 import math
@@ -13,7 +15,8 @@ import numpy as np
 
 from . import optimize
 from .errors import ParameterError, StructureViolationError
-from .model import chi_mech, frequency_grid, omega_eff
+from .model import (chi_cavity, chi_cavity_conj, chi_mech, frequency_grid,
+                    omega_eff)
 from .spectra import _backaction_prefactor, _shot_prefactor, s_add
 
 DEFAULT_G_RANGE_FACTORS = (1e-4, 10.0)  # times the mechanical frequency
@@ -46,7 +49,6 @@ class GMinAnalytic:
     p: float
     q: float
     r: float
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,12 @@ def _require_t0(params):
 
 
 def fit_shot_backaction(evaluator, omega, g0):
-    """Fit s(g) = p/g^2 + q g^2 + r through g in {g0/2, g0, 2 g0}."""
+    """Fit s(g) = p/g^2 + q g^2 + r through g in {g0/2, g0, 2 g0}.
+
+    Returns (p, q, r, residual), the residual being the relative misfit at a
+    fourth probe g0 sqrt(2). This is the solver-route check of the closed
+    form in ``minimize_over_g_analytic``.
+    """
     gs = (g0 / 2.0, g0, 2.0 * g0)
     ys = [evaluator(g, omega) for g in gs]
     m = np.array([[1.0 / g ** 2, g ** 2, 1.0] for g in gs])
@@ -89,32 +96,16 @@ def fit_shot_backaction(evaluator, omega, g0):
     return float(p), float(q), float(r), float(residual)
 
 
-def minimize_over_g_analytic(params, omega, g0=None):
-    """Closed-form coupling optimum from the three-point structure fit.
-
-    The fit is re-centered once at the estimated optimum, where the shot and
-    back-action terms balance and the extraction is best conditioned. A
-    residual above 1e-8 at a fourth probe point means the p/g^2 + q g^2 + r
-    structure does not hold (wrong preconditions) and is a hard error.
-    """
+def minimize_over_g_analytic(params, omega):
+    """Exact coupling optimum 2 sqrt(pq) + r at g = (p/q)^(1/4)."""
     _require_t0(params)
-    if g0 is None:
-        g0 = abs(params.g_lin) or 0.03 * params.omega_m1
-
-    def ev(g, w):
-        return s_add(replace(params, g_lin=g), w).s_add
-
-    p, q, r, residual = fit_shot_backaction(ev, omega, g0)
-    if p > 0 and q > 0:
-        g1 = (p / q) ** 0.25
-        p, q, r, residual = fit_shot_backaction(ev, omega, g1)
-    if residual > 1e-8 or p <= 0 or q <= 0:
+    p, q, r = _shot_backaction(params, omega)
+    if not (p > 0 and q > 0):
         raise StructureViolationError(
-            "noise is not shot plus back-action in g (residual %.3g)" % residual,
-            residual=residual)
+            "noise has no shot/back-action balance (p = %.3g, q = %.3g)"
+            % (p, q))
     return GMinAnalytic(s_sql=2.0 * math.sqrt(p * q) + r,
-                        g_opt=(p / q) ** 0.25, p=p, q=q, r=r,
-                        residual=residual)
+                        g_opt=(p / q) ** 0.25, p=p, q=q, r=r)
 
 
 def minimize_over_g_numeric(evaluator, omega, g_range, per_decade=64):
@@ -143,29 +134,45 @@ def som_sql(omega_m, gamma1, kappa, omega):
     return 2.0 * (abs(alpha * beta) + (alpha * beta.conjugate()).real)
 
 
-_DEN1_CACHE = {}
-_DEN2_CACHE = {}
+def _shot_backaction(params, omega):
+    """Exact (p, q, r) of the T = 0 noise p/g^2 + q g^2 + r at real g.
+
+    With theta = 0 the ratios A/E and B/E are each alpha/g + beta g, where
+    alpha and beta do not depend on g; the dual-probe analogue of som_sql.
+    """
+    xc = chi_cavity(omega, params.delta_prime, params.kappa)
+    xcd = chi_cavity_conj(omega, params.delta_prime, params.kappa)
+    x1 = chi_mech(omega, params.omega_m1, params.gamma1)
+    x2 = chi_mech(omega, params.omega_m2, params.gamma2)
+    v = params.v_coupling
+    k = params.kappa
+    w2 = 2.0 * v * x1 * x2 - x1 - x2
+    u = v ** 2 * x1 * x2 - 1.0
+    den = 1j * math.sqrt(k) * (xc + xcd) * w2
+    alpha_a = -(1.0 - k * xc) * u / den
+    alpha_b = (1.0 - k * xcd) * u / den
+    beta_a = 1j * w2 * ((1.0 - k * xc) * (xc - xcd)
+                        + k * xc * (xc + xcd)) / den
+    beta_b = 1j * w2 * (-(1.0 - k * xcd) * (xc - xcd)
+                        + k * xcd * (xc + xcd)) / den
+    p = 0.5 * (abs(alpha_a) ** 2 + abs(alpha_b) ** 2)
+    q = 0.5 * (abs(beta_a) ** 2 + abs(beta_b) ** 2)
+    r = (alpha_a * beta_a.conjugate() + alpha_b * beta_b.conjugate()).real
+    return p, q, r
 
 
 def r_factors(params, omega):
     """Quantum-limit ratios against the two reference scenarios.
 
     r1 divides by the single-oscillator limit at omega_m; r2 divides by the
-    uncoupled (v = 0) dual limit at omega_m. Denominators are cached by the
-    parameter values they depend on.
+    uncoupled (v = 0) dual limit at omega_m.
     """
-    _require_t0(params)
     num = minimize_over_g_analytic(params, omega).s_sql
-    k1 = (params.omega_m1, params.gamma1, params.kappa)
-    if k1 not in _DEN1_CACHE:
-        _DEN1_CACHE[k1] = som_sql(params.omega_m1, params.gamma1, params.kappa,
-                                  params.omega_m1)
-    k2 = (params.delta_prime, params.kappa, params.omega_m1, params.omega_m2,
-          params.gamma1, params.gamma2)
-    if k2 not in _DEN2_CACHE:
-        _DEN2_CACHE[k2] = minimize_over_g_analytic(
-            replace(params, v_coupling=0.0), params.omega_m1).s_sql
-    return {"r1": num / _DEN1_CACHE[k1], "r2": num / _DEN2_CACHE[k2]}
+    den1 = som_sql(params.omega_m1, params.gamma1, params.kappa,
+                   params.omega_m1)
+    den2 = minimize_over_g_analytic(replace(params, v_coupling=0.0),
+                                    params.omega_m1).s_sql
+    return {"r1": num / den1, "r2": num / den2}
 
 
 def sql_result(params, omega):

@@ -59,6 +59,14 @@ class TestExitCodes:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["kappa=nan", "gamma=inf"])
+    def test_non_finite_parameter_is_one(self, tmp_path, capsys, setting):
+        rc = main(["spectrum", "--set", setting, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "spectrum.csv").exists()
+
     def test_clean_run_is_zero(self, tmp_path):
         rc = main(["sweep", "--set", "panel=b", "--set", "points=5",
                    "--out", str(tmp_path)])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from omdp_sense import (DetectorParams, DriveConfig, ParameterError,
                         chi_cavity, chi_cavity_conj, chi_mech, frequency_grid,
                         occupation_temperature, omega_eff,
-                        single_photon_coupling, steady_state, susceptibilities,
+                        single_photon_coupling, steady_state,
                         thermal_occupation)
 
 W_SI = 2.0 * math.pi * 10.56e6
@@ -71,16 +71,6 @@ class TestChiMech:
         mags = np.abs([chi_mech(float(w), 1.0, 1e-3) for w in ws])
         w_peak = ws[int(np.argmax(mags))]
         assert abs(w_peak - 1.0) < 2e-3
-
-
-class TestSusceptibilities:
-    def test_bundle_matches_parts(self):
-        p = params()
-        s = susceptibilities(p, 1.05)
-        assert s.chi_c == chi_cavity(1.05, p.delta_prime, p.kappa)
-        assert s.chi_c_dag == chi_cavity_conj(1.05, p.delta_prime, p.kappa)
-        assert s.chi_m1 == chi_mech(1.05, p.omega_m1, p.gamma1)
-        assert s.chi_m2 == chi_mech(1.05, p.omega_m2, p.gamma2)
 
 
 class TestThermalOccupation:
@@ -147,6 +137,14 @@ class TestDetectorParams:
         for field in ("kappa", "omega_m1", "gamma2"):
             with pytest.raises(ParameterError):
                 params(**{field: 0.0})
+
+    def test_rejects_non_finite(self):
+        for field, bad in (("kappa", math.nan), ("gamma1", math.inf),
+                           ("delta_prime", -math.inf), ("theta", math.nan),
+                           ("nth2", math.inf), ("v_coupling", math.nan),
+                           ("g_lin", complex(0.03, math.nan))):
+            with pytest.raises(ParameterError, match="finite"):
+                params(**{field: bad})
 
 
 class TestFrequencyGrid:

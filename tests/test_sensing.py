@@ -175,6 +175,14 @@ class TestMagnetometerConfig:
                                temperature=1e-3, conversion=1.0,
                                convention="rms")
 
+    def test_rejects_non_finite(self):
+        good = dict(current=10e-6, probe_size=15e-6, field=1e-13,
+                    temperature=1e-3, conversion=1.0)
+        for key in good:
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ParameterError, match="finite"):
+                    MagnetometerConfig(**dict(good, **{key: bad}))
+
     def test_rejects_negative_temperature(self):
         with pytest.raises(ParameterError):
             MagnetometerConfig(current=10e-6, probe_size=15e-6, field=1e-13,

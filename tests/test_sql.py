@@ -4,11 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from omdp_sense import (DetectorParams, ParameterError, default_g_range,
+import omdp_sense.sql as sql
+from omdp_sense import (DetectorParams, ParameterError,
+                        StructureViolationError, default_g_range,
                         fit_shot_backaction, minimize_over_g_analytic,
                         minimize_over_g_numeric, omega_eff, r_factors, r_map,
                         s_add, s_min_sweep, som_sql, sql_result)
 from omdp_sense.optimize import golden_min
+from omdp_sense.sql import _shot_backaction
 
 
 def params(**kw):
@@ -16,6 +19,23 @@ def params(**kw):
              omega_m2=1.0, gamma1=1e-5, gamma2=1e-5, v_coupling=0.2)
     d.update(kw)
     return DetectorParams(**d)
+
+
+def random_t0(rng):
+    # the zero-temperature distribution of acceptance criterion 02
+    wm1 = rng.uniform(0.5, 2.0)
+    wm2 = rng.uniform(0.5, 2.0)
+    p = DetectorParams(
+        delta_prime=rng.uniform(0.8, 1.2) * wm1,
+        kappa=rng.uniform(0.01, 1.0), g_lin=rng.uniform(1e-3, 0.3),
+        omega_m1=wm1, omega_m2=wm2,
+        gamma1=rng.uniform(1e-5, 1e-2), gamma2=rng.uniform(1e-5, 1e-2),
+        v_coupling=rng.uniform(0.0, 0.4) * wm1)
+    return p, rng.uniform(0.9, 1.2) * wm1
+
+
+def s_add_in_g(p):
+    return lambda g, w: s_add(replace(p, g_lin=g), w).s_add
 
 
 # frozen reference limits at omega = omega_m
@@ -61,10 +81,31 @@ class TestAnalyticMinimizer:
         with pytest.raises(ParameterError):
             minimize_over_g_analytic(params(nth1=10.0, nth2=10.0), 1.0)
 
+    def test_rejects_non_finite_frequency(self):
+        with pytest.raises(StructureViolationError):
+            minimize_over_g_analytic(params(), math.nan)
+
     def test_uncoupled_limit_frozen(self):
-        an = minimize_over_g_analytic(params(v_coupling=0.0), 1.0)
+        p = params(v_coupling=0.0)
+        an = minimize_over_g_analytic(p, 1.0)
         assert an.s_sql == pytest.approx(DUAL_LIMIT_V0_AT_WM, rel=1e-9)
-        assert an.residual < 1e-8
+        assert fit_shot_backaction(s_add_in_g(p), 1.0, an.g_opt)[3] < 1e-8
+
+    def test_closed_form_matches_solver(self):
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            p, w = random_t0(rng)
+            pp, qq, rr = _shot_backaction(p, w)
+            for g in (1e-3, 0.03, 0.3):
+                assert pp / g ** 2 + qq * g ** 2 + rr == pytest.approx(
+                    s_add_in_g(p)(g, w), rel=1e-11)
+
+    def test_independent_of_seed_coupling(self):
+        p = params()
+        w = omega_eff(1.0, 0.2)
+        first = minimize_over_g_analytic(p, w)
+        for g in (1e-3, 0.05, 0.3, 2.0):
+            assert minimize_over_g_analytic(replace(p, g_lin=g), w) == first
 
     def test_interior_optimum_for_reference_parameters(self):
         an = minimize_over_g_analytic(params(v_coupling=0.0), 1.0)
@@ -138,6 +179,23 @@ class TestSomSql:
 
 
 class TestRFactors:
+    def test_independent_of_call_history(self):
+        p = params()
+        w = omega_eff(1.0, 0.2)
+        first = r_factors(p, w)
+        # a module-level memo keyed without g_lin would be refilled here
+        # from the g_lin = 0.05 call and leak into the last one
+        for name in ("_DEN1_CACHE", "_DEN2_CACHE"):
+            getattr(sql, name, {}).clear()
+        r_factors(replace(p, g_lin=0.05), w)
+        assert r_factors(p, w) == first
+
+    def test_no_mutable_module_state(self):
+        mutable = [name for name, value in vars(sql).items()
+                   if not name.startswith("__")
+                   and isinstance(value, (dict, list, set, bytearray))]
+        assert mutable == []
+
     def test_uncoupled_normalization(self):
         rf = r_factors(params(v_coupling=0.0), 1.0)
         assert rf["r2"] == pytest.approx(1.0, rel=1e-12)
