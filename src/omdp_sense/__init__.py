@@ -19,8 +19,8 @@ from .model import (DetectorParams, DriveConfig, SteadyState, chi_cavity,
                     steady_state, thermal_occupation)
 from .coefficients import (OutputCoefficients, closed_form_coefficients,
                            solve_coefficients)
-from .spectra import (AddNoise, SpectrumPoint, SpectrumResult, s_add,
-                      s_add_resonant, s_add_som, spectrum_sweep)
+from .spectra import (AddNoise, SpectrumResult, s_add, s_add_resonant,
+                      s_add_som, spectrum_sweep)
 from .sql import (GMinAnalytic, GMinNumeric, RMap, SqlResult, SweepResult,
                   default_g_range, fit_shot_backaction,
                   minimize_over_g_analytic, minimize_over_g_numeric, r_factors,
@@ -38,7 +38,7 @@ __all__ = [
     "omega_eff", "single_photon_coupling", "steady_state",
     "thermal_occupation",
     "OutputCoefficients", "closed_form_coefficients", "solve_coefficients",
-    "AddNoise", "SpectrumPoint", "SpectrumResult", "s_add", "s_add_resonant",
+    "AddNoise", "SpectrumResult", "s_add", "s_add_resonant",
     "s_add_som", "spectrum_sweep",
     "GMinAnalytic", "GMinNumeric", "RMap", "SqlResult", "SweepResult",
     "default_g_range", "fit_shot_backaction", "minimize_over_g_analytic",

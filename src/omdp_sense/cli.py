@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from itertools import repeat
 
 import numpy as np
 
@@ -160,34 +161,42 @@ def resolve_table(subcommand, config_path, overrides):
     return table
 
 
+def _number(key, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError("%s must be a number, got %r" % (key, value))
+    return float(value)
+
+
+def _numbers(key, value):
+    values = value if isinstance(value, tuple) else (value,)
+    return tuple(_number(key, v) for v in values)
+
+
+def _count(key, value):
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError("%s must be a whole number, got %r" % (key, value))
+    return value
+
+
 def _si_normalize(table):
     # in si mode rate-like keys arrive in rad/s; rescale to omega_m units
     if table.get("units") != "si":
         return table
     if "omega_m_si" not in table or not table["omega_m_si"]:
         raise UsageError("units = si requires omega_m_si in rad/s")
-    w = float(table["omega_m_si"])
+    w = _number("omega_m_si", table["omega_m_si"])
     out = dict(table)
     for key in ("delta_prime", "kappa", "g", "gamma", "v",
                 "lo", "hi", "v_lo", "v_hi", "omega_lo", "omega_hi",
                 "span_lo", "span_hi"):
         if key in out and out[key] is not None:
-            out[key] = float(out[key]) / w
+            out[key] = _number(key, out[key]) / w
     if "v_list" in out:
-        vs = out["v_list"]
-        if not isinstance(vs, tuple):
-            vs = (vs,)
-        out["v_list"] = tuple(float(v) / w for v in vs)
+        out["v_list"] = tuple(v / w for v in _numbers("v_list", out["v_list"]))
     out["units"] = "omega_m"
     return out
-
-
-def _fmt(x):
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return "%d" % x
-    return "%.17g" % x
 
 
 def _digest(path):
@@ -247,8 +256,9 @@ class Emitter:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 wr = csv.writer(fh, lineterminator="\n")
                 wr.writerow(columns)
-                for row in rows:
-                    wr.writerow([_fmt(x) for x in row])
+                # %.17g round-trips every float and prints integers whole
+                wr.writerows([x if isinstance(x, str) else "%.17g" % x
+                              for x in row] for row in rows)
         else:
             filename = stem + ".json"
             path = os.path.join(self.out_dir, filename)
@@ -274,34 +284,33 @@ class Emitter:
         return path
 
 
-def _detector(table, v, nth, g=None, kappa=None):
+def _detector(table, v, nth):
+    gamma = _number("gamma", table["gamma"])
+    nth = _number("nth", nth)
     return DetectorParams(
-        delta_prime=float(table["delta_prime"]),
-        kappa=float(kappa if kappa is not None else table["kappa"]),
-        g_lin=float(g if g is not None else table["g"]),
-        omega_m1=1.0, omega_m2=1.0,
-        gamma1=float(table["gamma"]), gamma2=float(table["gamma"]),
-        v_coupling=float(v), nth1=float(nth), nth2=float(nth))
+        delta_prime=_number("delta_prime", table["delta_prime"]),
+        kappa=_number("kappa", table["kappa"]),
+        g_lin=_number("g", table["g"]),
+        omega_m1=1.0, omega_m2=1.0, gamma1=gamma, gamma2=gamma,
+        v_coupling=_number("v", v), nth1=nth, nth2=nth)
 
 
 def cmd_spectrum(config, emitter):
     t = config.table
-    v_list = t["v_list"] if isinstance(t["v_list"], tuple) else (t["v_list"],)
-    span = (float(t["span_lo"]), float(t["span_hi"]))
+    gamma, kappa, g, nth, lo, hi = (_number(k, t[k]) for k in (
+        "gamma", "kappa", "g", "nth", "span_lo", "span_hi"))
+    base_points = _count("base_points", t["base_points"])
     rows = []
-    for v in v_list:
-        params = _detector(t, v, t["nth"])
-        grid = frequency_grid([1.0, omega_eff(1.0, float(v))],
-                              float(t["gamma"]), span, int(t["base_points"]))
+    for v in _numbers("v_list", t["v_list"]):
+        params = _detector(t, v, nth)
+        grid = frequency_grid([1.0, omega_eff(1.0, v)], gamma, (lo, hi),
+                              base_points)
         res = spectrum_sweep(params, grid)
-        label = "v=%g" % float(v)
-        for pt in res.points:
-            rows.append((pt.omega, pt.s_add, pt.s_th, pt.a_p, label))
-    grid = frequency_grid([1.0], float(t["gamma"]), span, int(t["base_points"]))
-    for w in grid:
-        val = s_add_som(1.0, float(t["gamma"]), float(t["kappa"]),
-                        float(t["g"]), float(t["nth"]), float(w))
-        rows.append((float(w), val, float(t["gamma"]) * float(t["nth"]), "", "som"))
+        rows += zip(res.omega.tolist(), res.s_add.tolist(), res.s_th.tolist(),
+                    res.a_p.tolist(), repeat("v=%g" % v))
+    for w in frequency_grid([1.0], gamma, (lo, hi), base_points).tolist():
+        rows.append((w, s_add_som(1.0, gamma, kappa, g, nth, w), gamma * nth,
+                     "", "som"))
     emitter.table_file("spectrum",
                        ("omega_over_omega_m", "s_add", "s_th", "a_p", "series"),
                        rows)
@@ -354,6 +363,7 @@ def cmd_sweep(config, emitter):
     res = s_min_sweep(template, name, values, mode=mode, grid=str(t["grid"]))
     emitter.extra["swept_parameter"] = name
     emitter.extra["skipped"] = [list(s) for s in res.skipped]
+    emitter.extra["at_boundary"] = res.at_boundary
     if res.g_opt is not None:
         cols = ("swept_value", "s_min", "omega_at_min", "g_opt")
         rows = list(zip(res.values, res.s_min, res.omega_at_min, res.g_opt))

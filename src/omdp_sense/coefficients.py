@@ -6,17 +6,26 @@ it handles arbitrary homodyne phase and independent complex couplings, and
 it is the canonical path everywhere downstream. ``closed_form_coefficients``
 is the compact algebraic expression, valid for theta = 0 and equal couplings,
 kept as a fast cross-check of the solver.
+
+The solver also takes a 1-D array of frequencies. It then eliminates all of
+them at once, with per frequency the pivots and the roundings of the scalar
+elimination, so the arrays it returns equal the scalar results bit for bit.
 """
 
 import cmath
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ParameterError, SingularSystemError
+from .exact import Exact
 from .model import chi_cavity, chi_cavity_conj, chi_mech
 
 
 @dataclass(frozen=True)
 class OutputCoefficients:
+    """Coefficients at one frequency, or arrays of them over a frequency array."""
+
     a_coef: complex
     b_coef: complex
     c_coef: complex
@@ -59,6 +68,55 @@ def _solve4(m, rhs):
     return out
 
 
+def _solve4_batched(m, rhs, n):
+    # _solve4 at n frequencies at once. Entries are numbers or Exact arrays
+    # over the frequencies. Each frequency gets the pivot and the operations,
+    # in the same order, that _solve4 gives it, so the two agree bit for bit.
+    a = [[Exact(np.broadcast_to(np.asarray(x, dtype=complex), (n,)))
+          for x in tuple(m[i]) + tuple(rhs[i])] for i in range(4)]
+    pivots = []
+    for col in range(4):
+        mags = np.stack([np.asarray(abs(a[r][col])) for r in range(col, 4)])
+        p = col + np.argmax(mags, axis=0)  # first maximum wins, as in max()
+        piv = mags.max(axis=0)
+        if not piv.all():
+            k = int(np.argmin(piv))  # the first singular frequency
+            cond = (float(max(pv[k] for pv in pivots)
+                          / min(pv[k] for pv in pivots))
+                    if pivots else float("inf"))
+            raise SingularSystemError(
+                "response system is singular at this frequency",
+                condition=cond)
+        for r in range(col + 1, 4):
+            swap = p == r
+            if swap.any():
+                for c in range(col, 8):
+                    top, low = a[col][c].value, a[r][c].value
+                    a[col][c] = Exact(np.where(swap, low, top))
+                    a[r][c] = Exact(np.where(swap, top, low))
+        pivots.append(piv)
+        inv = 1.0 / a[col][col]
+        for r in range(col + 1, 4):
+            fac = a[r][col] * inv
+            keep = fac.value != 0.0  # _solve4 leaves the row alone elsewhere
+            if not keep.any():
+                continue
+            row_r, row_c = a[r], a[col]
+            # column col is left out: below the pivot it is never read again
+            for c in range(col + 1, 8):
+                new = row_r[c] - fac * row_c[c]
+                row_r[c] = new if keep.all() else Exact(
+                    np.where(keep, new.value, row_r[c].value))
+    out = [[0j] * 4 for _ in range(4)]
+    for j in range(4):
+        for i in range(3, -1, -1):
+            s = a[i][4 + j]
+            for c in range(i + 1, 4):
+                s -= a[i][c] * out[c][j]
+            out[i][j] = s / a[i][i]
+    return out
+
+
 def solve_coefficients(params, omega):
     """Transfer coefficients from the eliminated response system.
 
@@ -66,8 +124,17 @@ def solve_coefficients(params, omega):
     (a_in, a_in^dag, F_1, F_2); the output quadrature is
     i[a_out^dag e^{-i theta} - a_out e^{i theta}] with
     a_out = sqrt(kappa) da - a_in.
+
+    ``omega`` is one frequency or a 1-D array of frequencies; an array
+    gives coefficient arrays, bit-identical to solving point by point.
     """
-    w = omega
+    batched = isinstance(omega, np.ndarray)
+    if batched:
+        if omega.ndim != 1:
+            raise ParameterError("frequencies must be a number or a 1-D array")
+        w = Exact(omega.astype(float))
+    else:
+        w = omega
     xc = chi_cavity(w, params.delta_prime, params.kappa)
     xcd = chi_cavity_conj(w, params.delta_prime, params.kappa)
     x1 = chi_mech(w, params.omega_m1, params.gamma1)
@@ -88,7 +155,7 @@ def solve_coefficients(params, omega):
         (0j, 0j, 1.0 + 0j, 0j),
         (0j, 0j, 0j, 1.0 + 0j),
     )
-    x = _solve4(m, rhs)
+    x = _solve4_batched(m, rhs, len(omega)) if batched else _solve4(m, rhs)
     xa, xad = x[0], x[1]
     ep = cmath.exp(1j * params.theta)
     em = ep.conjugate()
@@ -98,6 +165,8 @@ def solve_coefficients(params, omega):
     d = 1j * (sk * xad[3] * em - sk * xa[3] * ep)
     de = 1j * (v ** 2 * x1 * x2 - 1.0) + abs(g1) ** 2 * (xc - xcd) * (
         2.0 * v * x1 * x2 - x1 - x2)
+    if batched:
+        a, b, c, d, de = (np.asarray(z) for z in (a, b, c, d, de))
     return OutputCoefficients(a, b, c, d, c + d, de)
 
 

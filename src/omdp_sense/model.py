@@ -8,7 +8,8 @@ frequency (all defaults in the CLI are expressed that way). Only
 
 import cmath
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,10 +41,19 @@ class DetectorParams:
     nth2: float = 0.0
 
     def __post_init__(self):
-        if not (all(map(math.isfinite, (
-                self.delta_prime, self.kappa, self.omega_m1, self.omega_m2,
-                self.gamma1, self.gamma2, self.v_coupling, self.theta,
-                self.nth1, self.nth2))) and cmath.isfinite(self.g_lin)):
+        # store Python numbers: numpy scalars round complex arithmetic
+        # differently, which would make results depend on the input's type
+        reals = _real_fields(self)
+        if set(map(type, reals)) != {float}:
+            reals = tuple(map(float, reals))
+            for name, x in zip(_REAL_FIELDS, reals):
+                object.__setattr__(self, name, x)
+        g = self.g_lin
+        if type(g) not in (float, complex):
+            object.__setattr__(self, "g_lin", complex(g) if isinstance(
+                g, (complex, np.complexfloating)) else float(g))
+        if not (all(map(math.isfinite, reals))
+                and cmath.isfinite(self.g_lin)):
             raise ParameterError("detector parameters must be finite")
         if self.kappa <= 0:
             raise ParameterError("kappa must be positive")
@@ -58,6 +68,11 @@ class DetectorParams:
                 % (self.v_coupling ** 2, self.omega_m1 * self.omega_m2))
         if self.nth1 < 0 or self.nth2 < 0:
             raise ParameterError("thermal occupations must be non-negative")
+
+
+_REAL_FIELDS = tuple(f.name for f in fields(DetectorParams)
+                     if f.name != "g_lin")
+_real_fields = operator.attrgetter(*_REAL_FIELDS)
 
 
 @dataclass(frozen=True)

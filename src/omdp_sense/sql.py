@@ -68,6 +68,7 @@ class SweepResult:
     skipped: tuple
     params: object
     grid_mode: str
+    at_boundary: int  # values whose minimum sat on an end of the scan grid
 
 
 def _require_t0(params):
@@ -272,6 +273,7 @@ def s_min_sweep(template, param, values, mode="fixed_g", grid="figure"):
                               SWEEP_POINTS)
 
     out_v, out_s, out_w, out_g, skipped = [], [], [], [], []
+    at_boundary = 0
     for v in vals:
         try:
             pv = _sweep_point(template, param, v)
@@ -289,14 +291,16 @@ def s_min_sweep(template, param, values, mode="fixed_g", grid="figure"):
         if grid == "figure":
             k, fk = optimize.scan_min(objective, figure_grid)
             w_at, s_at = float(figure_grid[k]), fk
+            edge = k in (0, len(figure_grid) - 1)
         else:
             centers = [scale, omega_eff(scale, pv.v_coupling)]
             lw = min(pv.gamma1, pv.gamma2)
             fine = frequency_grid(centers, lw,
                                   (SWEEP_SPAN[0] * scale, SWEEP_SPAN[1] * scale),
                                   201)
-            w_at, s_at, _ = optimize.scan_then_golden(objective, fine)
+            w_at, s_at, edge = optimize.scan_then_golden(objective, fine)
 
+        at_boundary += edge
         out_v.append(v)
         out_s.append(s_at)
         out_w.append(w_at)
@@ -306,4 +310,5 @@ def s_min_sweep(template, param, values, mode="fixed_g", grid="figure"):
     return SweepResult(param=param, values=tuple(out_v), s_min=tuple(out_s),
                        omega_at_min=tuple(out_w),
                        g_opt=tuple(out_g) if mode == "sql" else None,
-                       skipped=tuple(skipped), params=template, grid_mode=grid)
+                       skipped=tuple(skipped), params=template, grid_mode=grid,
+                       at_boundary=at_boundary)

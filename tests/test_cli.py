@@ -67,6 +67,16 @@ class TestExitCodes:
         assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "spectrum.csv").exists()
 
+    @pytest.mark.parametrize("setting, key", [
+        ("v_list=0.2,abc", "v_list"), ("base_points=3.7", "base_points"),
+        ("span_lo=low", "span_lo")])
+    def test_bad_spectrum_input_is_two(self, tmp_path, capsys, setting, key):
+        rc = main(["spectrum", "--set", setting, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage error:") and key in err
+        assert not (tmp_path / "spectrum.csv").exists()
+
     def test_clean_run_is_zero(self, tmp_path):
         rc = main(["sweep", "--set", "panel=b", "--set", "points=5",
                    "--out", str(tmp_path)])
@@ -201,6 +211,21 @@ class TestSweepCommand:
         header, rows = read_csv(tmp_path / "sweep_a.csv")
         assert header[-1] == "g_opt"
         assert all(r[-1] > 0 for r in rows)
+
+    def test_boundary_hits_noted_in_manifest(self, tmp_path):
+        # the refined scan ends at 1.3; a split of 0.6 puts oscillator 1
+        # there, so its minimum sits on the scan's last point
+        for panel, lo, hi, hits in (("a", 0.0, 0.2, 0), ("b", 0.5, 0.6, 1)):
+            rc = main(["sweep", "--set", "panel=" + panel,
+                       "--set", "grid=refined", "--set", "points=3",
+                       "--set", "lo=%g" % lo, "--set", "hi=%g" % hi,
+                       "--out", str(tmp_path)])
+            assert rc == 0
+            man = json.loads((tmp_path / ("sweep_%s.csv.manifest.json"
+                                          % panel)).read_text())
+            assert man["at_boundary"] == hits
+            _, rows = read_csv(tmp_path / ("sweep_%s.csv" % panel))
+            assert sum(r[2] == 1.3 for r in rows) == hits
 
 
 class TestValidateCommand:

@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import replace
 
@@ -5,10 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omdp_sense import (DetectorParams, ParameterError,
+from omdp_sense import (DetectorParams, ParameterError, SingularSystemError,
                         TransductionAbsentError, frequency_grid, omega_eff,
                         s_add, s_add_resonant, s_add_som, solve_coefficients,
                         spectrum_sweep)
+from omdp_sense.coefficients import _solve4, _solve4_batched
+from omdp_sense.exact import Exact
+from omdp_sense.spectra import SOLVE_BLOCK, _noise
 
 
 def params(**kw):
@@ -111,18 +115,17 @@ class TestSpectrumSweep:
     def test_points_carry_gain(self):
         grid = np.linspace(0.95, 1.15, 21)
         res = spectrum_sweep(params(), grid)
-        assert len(res.points) == 21
-        pt = res.points[3]
-        assert pt.a_p == pytest.approx(
-            abs(solve_coefficients(params(), pt.omega).e_coef), rel=1e-14)
-        assert pt.s_add > 0 and pt.s_th > 0
+        assert len(res.omega) == 21
+        assert res.a_p[3] == pytest.approx(
+            abs(solve_coefficients(params(), float(res.omega[3])).e_coef),
+            rel=1e-14)
+        assert res.s_add[3] > 0 and res.s_th[3] > 0
 
     def test_minimum_sits_at_dressed_notch(self):
         weff = omega_eff(1.0, 0.2)
         grid = frequency_grid([1.0, weff], 1e-5, (0.9, 1.2), 401)
         res = spectrum_sweep(params(), grid)
-        vals = [pt.s_add for pt in res.points]
-        w_min = res.points[int(np.argmin(vals))].omega
+        w_min = res.omega[int(np.argmin(res.s_add))]
         assert abs(w_min - weff) / weff < 0.01
 
     def test_stronger_coupling_digs_deeper(self):
@@ -131,5 +134,113 @@ class TestSpectrumSweep:
             grid = frequency_grid([1.0, omega_eff(1.0, v)], 1e-5,
                                   (0.9, 1.35), 401)
             res = spectrum_sweep(params(v_coupling=v), grid)
-            mins[v] = min(pt.s_add for pt in res.points)
+            mins[v] = res.s_add.min()
         assert mins[0.4] < mins[0.2] < mins[0.0]
+
+    def test_rejects_non_finite_grid(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ParameterError, match="finite"):
+                spectrum_sweep(params(), [1.0, bad])
+
+    def test_vanishing_transduction_raises_as_scalar_route(self):
+        p = params(g_lin=0.0)
+        with pytest.raises(TransductionAbsentError) as scalar:
+            _noise(p, solve_coefficients(p, 1.05))
+        with pytest.raises(TransductionAbsentError) as batched:
+            spectrum_sweep(p, np.linspace(1.0, 1.1, 5))
+        assert str(batched.value) == str(scalar.value)
+
+
+COEFFICIENTS = ("a_coef", "b_coef", "c_coef", "d_coef", "e_coef", "d_e")
+
+# input set 1 of the spectrum benchmark
+SET_1 = dict(delta_prime=1.01583, kappa=0.0978062, g_lin=0.0306254)
+
+
+def random_general(rng):
+    """Theta != 0, complex g, unequal oscillators, warm baths."""
+    wm1, wm2 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+    return DetectorParams(
+        delta_prime=rng.uniform(-2.0, 2.0), kappa=rng.uniform(0.01, 1.0),
+        g_lin=rng.uniform(1e-3, 0.3) * cmath.exp(1j * rng.uniform(0.1, 3.0)),
+        omega_m1=wm1, omega_m2=wm2,
+        gamma1=rng.uniform(1e-5, 1e-2), gamma2=rng.uniform(1e-5, 1e-2),
+        v_coupling=rng.uniform(0.0, 0.9) * math.sqrt(wm1 * wm2),
+        theta=rng.uniform(0.1, 3.0),
+        nth1=rng.uniform(0.0, 50.0), nth2=rng.uniform(0.0, 50.0))
+
+
+class TestArrayRouteBitIdentity:
+    """The array route equals the scalar one exactly, not to a tolerance.
+
+    Near the lower normal mode E = C + D nearly cancels, so any other
+    rounding of the same algebra shifts s_add there by parts in 1e12.
+    """
+
+    def assert_identical(self, p, grid):
+        co = solve_coefficients(p, grid)
+        res = spectrum_sweep(p, grid)
+        assert np.array_equal(res.omega, grid)
+        for i, w in enumerate(grid.tolist()):
+            one = solve_coefficients(p, w)
+            for name in COEFFICIENTS:
+                assert getattr(co, name)[i] == getattr(one, name), (name, w)
+            sadd, sth = _noise(p, one)
+            assert res.s_add[i] == sadd and res.s_th[i] == sth, w
+            assert res.a_p[i] == abs(one.e_coef), w
+
+    @pytest.mark.parametrize("v", [0.1, 0.15])
+    def test_dark_mode_window(self, v):
+        # the lower normal mode sqrt(1 - v), where E nearly cancels
+        p = params(v_coupling=v, **SET_1)
+        grid = frequency_grid([1.0, omega_eff(1.0, v)], 1e-5, (0.9, 1.2),
+                              20001)
+        window = grid[np.abs(grid - math.sqrt(1.0 - v)) < 1e-3]
+        assert len(window) > 100
+        self.assert_identical(p, window)
+
+    def test_random_general_sets(self):
+        rng = np.random.default_rng(5150)
+        for _ in range(200):
+            self.assert_identical(random_general(rng),
+                                  np.sort(rng.uniform(0.1, 2.5, 8)))
+
+    def test_block_boundaries(self):
+        grid = np.linspace(0.9, 1.2, 2 * SOLVE_BLOCK + 1)
+        self.assert_identical(params(**SET_1), grid)
+
+
+class TestArrayRouteErrors:
+    def singular(self, top_left):
+        # column 2 is zero below the first two pivots
+        one = 1.0 + 0j
+        m = ((top_left, 0j, 0j, 0j), (0j, one, 0j, 0j),
+             (0j, 0j, 0j, one), (0j, 0j, 0j, one))
+        rhs = tuple((0j,) * 4 for _ in range(4))
+        return m, rhs
+
+    def test_zero_pivot_raises_as_scalar_route(self):
+        with pytest.raises(SingularSystemError) as scalar:
+            _solve4(*self.singular(3.0 + 0j))
+        # three frequencies; the first two are singular, the second with
+        # a different pivot history
+        m, rhs = self.singular(Exact(np.array([3.0, 5.0, 2.0 + 0j])))
+        m = m[:2] + ((0j, 0j, Exact(np.array([0j, 0j, 1.0 + 0j])), 1.0 + 0j),
+                     m[3])
+        with pytest.raises(SingularSystemError) as batched:
+            _solve4_batched(m, rhs, 3)
+        assert str(batched.value) == str(scalar.value)
+        assert batched.value.condition == scalar.value.condition == 3.0
+
+
+class TestParameterTypes:
+    def test_numpy_scalars_give_bit_equal_results(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            p = random_general(rng)
+            q = DetectorParams(**{k: (np.complex128(x) if k == "g_lin"
+                                      else np.float64(x))
+                                  for k, x in vars(p).items()})
+            assert type(q.kappa) is float and type(q.g_lin) is complex
+            w = rng.uniform(0.5, 1.5)
+            assert s_add(q, w) == s_add(p, w)
