@@ -172,11 +172,14 @@ def _numbers(key, value):
     return tuple(_number(key, v) for v in values)
 
 
-def _count(key, value):
+def _count(key, value, least=0):
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise UsageError("%s must be a whole number, got %r" % (key, value))
+    if value < least:
+        raise UsageError("%s must be at least %d, got %r"
+                         % (key, least, value))
     return value
 
 
@@ -224,6 +227,7 @@ class Emitter:
         self.fmt = config.fmt
         self.config_digest = _digest(config_path) if config_path else None
         self.extra = {}
+        self.sidecar = {}  # sidecars only, so data files keep their bytes
         self.files = []
 
     def _manifest(self, filename, digest):
@@ -242,6 +246,7 @@ class Emitter:
         # provenance lives only in the sidecar so data files stay
         # byte-identical when rerun from their own manifest
         man = self._manifest(filename, _digest(data_path))
+        man.update(self.sidecar)
         man["config_digest"] = self.config_digest
         man["timestamp"] = datetime.now(timezone.utc).isoformat()
         path = data_path + ".manifest.json"
@@ -320,8 +325,9 @@ def cmd_sql_map(config, emitter):
     t = config.table
     params = _detector(t, 0.0, 0.0)
     omegas = np.linspace(float(t["omega_lo"]), float(t["omega_hi"]),
-                         int(t["omega_points"]))
-    vs = np.linspace(float(t["v_lo"]), float(t["v_hi"]), int(t["v_points"]))
+                         _count("omega_points", t["omega_points"]))
+    vs = np.linspace(float(t["v_lo"]), float(t["v_hi"]),
+                     _count("v_points", t["v_points"]))
     m = r_map(params, omegas, vs)
     rows = []
     for i, v in enumerate(m.v_grid):
@@ -349,7 +355,8 @@ def cmd_sweep(config, emitter):
     name, lo, hi, points, spacing = PANELS[panel]
     lo = float(t["lo"]) if t["lo"] is not None else lo
     hi = float(t["hi"]) if t["hi"] is not None else hi
-    points = int(t["points"]) if t["points"] is not None else points
+    if t["points"] is not None:
+        points = _count("points", t["points"])
     spacing = str(t["spacing"]) if t["spacing"] is not None else spacing
     if spacing == "log":
         values = np.geomspace(lo, hi, points)
@@ -379,13 +386,15 @@ def cmd_snr(config, emitter):
     base = _detector(t, t["v"], 0.0)
 
     # enhancement against coupling and against temperature
-    vs = np.linspace(float(t["v_lo"]), float(t["v_hi"]), int(t["v_points"]))
+    vs = np.linspace(float(t["v_lo"]), float(t["v_hi"]),
+                     _count("v_points", t["v_points"]))
     rows = [(float(v), s_r(replace(base, v_coupling=float(v)),
                            float(t["temperature"]), rate_scale))
             for v in vs]
     emitter.table_file("s_r_vs_v", ("v_over_omega_m", "s_r"), rows)
 
-    temps = np.geomspace(float(t["t_lo"]), float(t["t_hi"]), int(t["t_points"]))
+    temps = np.geomspace(float(t["t_lo"]), float(t["t_hi"]),
+                         _count("t_points", t["t_points"]))
     rows = [(float(tk), s_r(base, float(tk), rate_scale)) for tk in temps]
     emitter.table_file("s_r_vs_temperature", ("temperature_k", "s_r"), rows)
 
@@ -406,7 +415,8 @@ def cmd_snr(config, emitter):
                        ("omega_over_omega_m", "snr_power", "snr_amplitude"),
                        rows)
 
-    bs = np.geomspace(float(t["b_lo"]), float(t["b_hi"]), int(t["b_points"]))
+    bs = np.geomspace(float(t["b_lo"]), float(t["b_hi"]),
+                      _count("b_points", t["b_points"]))
     xi = response_coefficient(float(t["current"]), float(t["probe_size"]))
     w_eff = omega_eff(1.0, float(t["v"]))
     pt = rp.params
@@ -449,9 +459,9 @@ def _rel(a, b):
 
 def cmd_validate(config, emitter):
     t = config.table
-    rng = np.random.default_rng(int(t["seed"]))
-    sets = int(t["sets"])
-    sql_sets = int(t["sql_sets"])
+    rng = np.random.default_rng(_count("seed", t["seed"]))
+    sets = _count("sets", t["sets"], least=1)
+    sql_sets = _count("sql_sets", t["sql_sets"], least=1)
     report = {}
 
     worst = 0.0
@@ -496,6 +506,7 @@ def cmd_validate(config, emitter):
 
     worst_fit = 0.0
     worst_sql = 0.0
+    at_boundary = 0
     for _ in range(sql_sets):
         p = _random_params(rng)
         p = replace(p, delta_prime=rng.uniform(0.8, 1.2) * p.omega_m1,
@@ -507,12 +518,15 @@ def cmd_validate(config, emitter):
             return s_add(replace(p, g_lin=g), w_).s_add
 
         worst_fit = max(worst_fit, fit_shot_backaction(ev, w, an.g_opt)[3])
-        nu = minimize_over_g_numeric(ev, w, default_g_range(p))
+        nu = minimize_over_g_numeric(p, w, default_g_range(p))
         worst_sql = max(worst_sql, _rel(an.s_sql, nu.s_sql))
+        at_boundary += nu.at_boundary
     report["structure_fit"] = {"worst_residual": worst_fit,
                                "sets": sql_sets, "pass": worst_fit < 1e-8}
     report["sql_cross_check"] = {"worst_rel_err": worst_sql,
                                  "sets": sql_sets, "pass": worst_sql < 1e-6}
+    # sets whose numeric coupling optimum sat on an end of the g range
+    emitter.sidecar["at_boundary"] = at_boundary
 
     # reduced-vs-full spectrum deviation near resonance: reported, not gated
     p = _detector({"delta_prime": 1.0, "kappa": 0.1, "g": 0.03,

@@ -7,9 +7,10 @@ it is the canonical path everywhere downstream. ``closed_form_coefficients``
 is the compact algebraic expression, valid for theta = 0 and equal couplings,
 kept as a fast cross-check of the solver.
 
-The solver also takes a 1-D array of frequencies. It then eliminates all of
-them at once, with per frequency the pivots and the roundings of the scalar
-elimination, so the arrays it returns equal the scalar results bit for bit.
+The solver also takes a 1-D array of frequencies, or at one frequency a 1-D
+array of couplings. It then eliminates all of them at once, with per point
+the pivots and the roundings of the scalar elimination, so the arrays it
+returns equal the scalar results bit for bit.
 """
 
 import cmath
@@ -117,7 +118,7 @@ def _solve4_batched(m, rhs, n):
     return out
 
 
-def solve_coefficients(params, omega):
+def solve_coefficients(params, omega, g_lin=None):
     """Transfer coefficients from the eliminated response system.
 
     Unknowns are (da, da^dag at -omega, q1, q2) driven by unit inputs
@@ -125,21 +126,34 @@ def solve_coefficients(params, omega):
     i[a_out^dag e^{-i theta} - a_out e^{i theta}] with
     a_out = sqrt(kappa) da - a_in.
 
-    ``omega`` is one frequency or a 1-D array of frequencies; an array
-    gives coefficient arrays, bit-identical to solving point by point.
+    ``omega`` is one frequency or a 1-D array of frequencies. ``g_lin``,
+    if given, is a 1-D array of couplings that stand in for
+    ``params.g_lin`` at one frequency. Either array gives coefficient
+    arrays, bit-identical to solving point by point.
     """
     batched = isinstance(omega, np.ndarray)
     if batched:
         if omega.ndim != 1:
             raise ParameterError("frequencies must be a number or a 1-D array")
+        n = len(omega)
         w = Exact(omega.astype(float))
     else:
-        w = omega
+        # a numpy scalar would round the complex arithmetic differently
+        w = float(omega)
+    if g_lin is None:
+        g1 = complex(params.g_lin)
+    else:
+        g_lin = np.asarray(g_lin)
+        if batched or g_lin.ndim != 1 or not np.isfinite(g_lin).all():
+            raise ParameterError(
+                "couplings must be a finite 1-D array at one frequency")
+        batched = True
+        n = len(g_lin)
+        g1 = Exact(g_lin.astype(complex))
     xc = chi_cavity(w, params.delta_prime, params.kappa)
     xcd = chi_cavity_conj(w, params.delta_prime, params.kappa)
     x1 = chi_mech(w, params.omega_m1, params.gamma1)
     x2 = chi_mech(w, params.omega_m2, params.gamma2)
-    g1 = complex(params.g_lin)
     g2 = g1  # single drive, shared coupling
     v = params.v_coupling
     m = (
@@ -155,7 +169,7 @@ def solve_coefficients(params, omega):
         (0j, 0j, 1.0 + 0j, 0j),
         (0j, 0j, 0j, 1.0 + 0j),
     )
-    x = _solve4_batched(m, rhs, len(omega)) if batched else _solve4(m, rhs)
+    x = _solve4_batched(m, rhs, n) if batched else _solve4(m, rhs)
     xa, xad = x[0], x[1]
     ep = cmath.exp(1j * params.theta)
     em = ep.conjugate()

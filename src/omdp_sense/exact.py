@@ -71,8 +71,8 @@ class Exact:
     """A float or complex numpy array with CPython-rounded arithmetic.
 
     Supports +, -, *, / against Python numbers and other ``Exact`` values,
-    ``abs``, and ``** 2`` on real values. ``bool`` is true when
-    no element is zero, as a scalar is true when it is nonzero.
+    unary -, ``conjugate()``, ``abs``, and ``** 2`` on real values. ``bool``
+    is true when no element is zero, as a scalar is true when it is nonzero.
     ``np.asarray`` returns the wrapped array.
     """
 
@@ -111,6 +111,12 @@ class Exact:
 
     def __rtruediv__(self, other):
         return Exact(_quot(_raw(other), self.value))
+
+    def __neg__(self):
+        return Exact(-self.value)  # a sign flip, exact in numpy as in CPython
+
+    def conjugate(self):
+        return Exact(np.conj(self.value))
 
     def __abs__(self):
         v = self.value

@@ -50,21 +50,27 @@ def golden_min(f, a, b, rel_tol=1e-10, max_iter=400):
     return best_x, best_f
 
 
-def scan_min(f, xs):
-    """Evaluate f on the grid xs and return (index, value) of the minimum."""
-    vals = [f(x) for x in xs]
+def scan_min(f, xs, f_grid=None):
+    """Evaluate f on the grid xs and return (index, value) of the minimum.
+
+    ``f_grid``, if given, evaluates the whole grid in one call and returns
+    an array of the values f would give point by point.
+    """
+    vals = ([f(x) for x in xs] if f_grid is None
+            else np.asarray(f_grid(xs)).tolist())
     k = int(np.argmin(vals))
     return k, vals[k]
 
 
-def scan_then_golden(f, xs, rel_tol=1e-10):
+def scan_then_golden(f, xs, rel_tol=1e-10, f_grid=None):
     """Grid scan followed by golden-section polish in the winning cell.
 
+    ``f_grid`` is passed on to ``scan_min``; the polish always calls f.
     Returns (x, fx, at_boundary); at_boundary is True when the scan minimum
     sits on the first or last grid point, a sign the range may be too narrow.
     """
     xs = np.asarray(xs, dtype=float)
-    k, fk = scan_min(f, xs)
+    k, fk = scan_min(f, xs, f_grid)
     at_boundary = k == 0 or k == len(xs) - 1
     lo = xs[max(k - 1, 0)]
     hi = xs[min(k + 1, len(xs) - 1)]

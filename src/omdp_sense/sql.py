@@ -17,7 +17,8 @@ from . import optimize
 from .errors import ParameterError, StructureViolationError
 from .model import (chi_cavity, chi_cavity_conj, chi_mech, frequency_grid,
                     omega_eff)
-from .spectra import _backaction_prefactor, _shot_prefactor, s_add
+from .coefficients import solve_coefficients
+from .spectra import _backaction_prefactor, _noise, _shot_prefactor, s_add
 
 DEFAULT_G_RANGE_FACTORS = (1e-4, 10.0)  # times the mechanical frequency
 
@@ -109,17 +110,27 @@ def minimize_over_g_analytic(params, omega):
                         g_opt=(p / q) ** 0.25, p=p, q=q, r=r)
 
 
-def minimize_over_g_numeric(evaluator, omega, g_range, per_decade=64):
-    """Scan 64 points per decade over g_range, then polish by golden section.
+def minimize_over_g_numeric(params, omega, g_range, per_decade=64):
+    """Minimize the solver's s_add over real g: scan, then golden section.
 
-    Flags the result when the scan minimum sits on the range boundary.
+    The log grid over g_range (per_decade points a decade) is solved in one
+    coupling-array pass, equal bit for bit to s_add point by point; the
+    polish calls s_add. The result is flagged when the scan minimum sits on
+    the range boundary.
     """
     lo, hi = g_range
     if not 0 < lo < hi:
         raise ParameterError("g_range must be positive and increasing")
+
+    def on_grid(gs):
+        return _noise(params, solve_coefficients(params, omega, g_lin=gs))[0]
+
+    def at(g):
+        return s_add(replace(params, g_lin=g), omega).s_add
+
     xs = optimize.log_grid(lo, hi, per_decade=per_decade)
-    x, fx, at_boundary = optimize.scan_then_golden(
-        lambda g: evaluator(g, omega), xs, rel_tol=1e-10)
+    x, fx, at_boundary = optimize.scan_then_golden(at, xs, rel_tol=1e-10,
+                                                   f_grid=on_grid)
     return GMinNumeric(s_sql=fx, g_opt=x, at_boundary=at_boundary)
 
 
@@ -141,6 +152,7 @@ def _shot_backaction(params, omega):
     With theta = 0 the ratios A/E and B/E are each alpha/g + beta g, where
     alpha and beta do not depend on g; the dual-probe analogue of som_sql.
     """
+    omega = float(omega)  # numpy scalars round complex arithmetic differently
     xc = chi_cavity(omega, params.delta_prime, params.kappa)
     xcd = chi_cavity_conj(omega, params.delta_prime, params.kappa)
     x1 = chi_mech(omega, params.omega_m1, params.gamma1)

@@ -85,9 +85,7 @@ def test_criterion_02_sql_minimizer_cross_check():
                     v_coupling=rng.uniform(0.0, 0.4) * p.omega_m1)
         w = rng.uniform(0.9, 1.2) * p.omega_m1
         an = minimize_over_g_analytic(p, w)
-        nu = minimize_over_g_numeric(
-            lambda g, w_, p=p: s_add(replace(p, g_lin=g), w_).s_add,
-            w, default_g_range(p))
+        nu = minimize_over_g_numeric(p, w, default_g_range(p))
         worst = max(worst, rel(an.s_sql, nu.s_sql))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-6 and elapsed < 10.0

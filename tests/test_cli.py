@@ -77,6 +77,28 @@ class TestExitCodes:
         assert err.startswith("usage error:") and key in err
         assert not (tmp_path / "spectrum.csv").exists()
 
+    @pytest.mark.parametrize("setting, key", [
+        ("seed=abc", "seed"), ("sets=-2", "sets"), ("sql_sets=0", "sql_sets"),
+        ("sets=2.5", "sets")])
+    def test_bad_validate_input_is_two(self, tmp_path, capsys, setting, key):
+        rc = main(["validate", "--set", setting, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage error:") and key in err
+        assert not (tmp_path / "validate_report.json").exists()
+
+    @pytest.mark.parametrize("command, setting, key", [
+        ("sweep", "points=3.7", "points"),
+        ("sql-map", "omega_points=5.5", "omega_points"),
+        ("snr", "v_points=2.5", "v_points")])
+    def test_non_integral_count_is_two(self, tmp_path, capsys, command,
+                                       setting, key):
+        rc = main([command, "--set", setting, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage error:") and key in err
+        assert not list(tmp_path.iterdir())
+
     def test_clean_run_is_zero(self, tmp_path):
         rc = main(["sweep", "--set", "panel=b", "--set", "points=5",
                    "--out", str(tmp_path)])
@@ -240,6 +262,17 @@ class TestValidateCommand:
         # cross-model deviation is reported for the record, never gated
         assert data["resonant_reduction_deviation"]["gated"] is False
         assert data["b_variant"]["solver_matches"] == "direct"
+
+    def test_boundary_hits_noted_in_manifest_only(self, tmp_path):
+        rc = main(["validate", "--set", "sets=5", "--set", "sql_sets=4",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        man = json.loads(
+            (tmp_path / "validate_report.json.manifest.json").read_text())
+        assert man["at_boundary"] == 0
+        doc = json.loads((tmp_path / "validate_report.json").read_text())
+        assert "at_boundary" not in doc["manifest"]
+        assert "at_boundary" not in doc["data"]
 
 
 class TestManifestReruns:

@@ -12,7 +12,9 @@ from omdp_sense import (DetectorParams, ParameterError, SingularSystemError,
                         spectrum_sweep)
 from omdp_sense.coefficients import _solve4, _solve4_batched
 from omdp_sense.exact import Exact
+from omdp_sense.optimize import log_grid
 from omdp_sense.spectra import SOLVE_BLOCK, _noise
+from omdp_sense.sql import _shot_backaction, default_g_range
 
 
 def params(**kw):
@@ -233,7 +235,84 @@ class TestArrayRouteErrors:
         assert batched.value.condition == scalar.value.condition == 3.0
 
 
+class TestCouplingArrayRoute:
+    """Couplings as an array at one frequency equal s_add point by point."""
+
+    def assert_identical(self, p, w, gs):
+        co = solve_coefficients(p, w, g_lin=gs)
+        sadd, sth = (np.asarray(x) for x in _noise(p, co))
+        for i, g in enumerate(gs.tolist()):
+            pg = replace(p, g_lin=g)
+            one = solve_coefficients(pg, w)
+            for name in COEFFICIENTS:
+                assert getattr(co, name)[i] == getattr(one, name), (name, g)
+            ref = s_add(pg, w)
+            assert sadd[i] == ref.s_add and sth[i] == ref.s_th, (w, g)
+
+    def test_validate_style_sets(self):
+        # the sets and the 64-per-decade grid of validate's numeric optimum
+        rng = np.random.default_rng(20240817)
+        for _ in range(20):
+            wm1, wm2 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+            p = DetectorParams(
+                delta_prime=rng.uniform(0.8, 1.2) * wm1,
+                kappa=rng.uniform(0.01, 1.0), g_lin=0.03,
+                omega_m1=wm1, omega_m2=wm2,
+                gamma1=rng.uniform(1e-5, 1e-2), gamma2=rng.uniform(1e-5, 1e-2),
+                v_coupling=rng.uniform(0.0, 0.4) * wm1)
+            w = rng.uniform(0.9, 1.2) * wm1
+            self.assert_identical(p, w, log_grid(*default_g_range(p)))
+
+    @pytest.mark.parametrize("v", [0.1, 0.15])
+    def test_dark_mode_window(self, v):
+        p = params(v_coupling=v, **SET_1)
+        grid = frequency_grid([1.0, omega_eff(1.0, v)], 1e-5, (0.9, 1.2),
+                              20001)
+        window = grid[np.abs(grid - math.sqrt(1.0 - v)) < 1e-3]
+        assert len(window) > 100
+        gs = log_grid(1e-3, 0.3, per_decade=8)
+        for w in window.tolist():
+            self.assert_identical(p, w, gs)
+
+    def test_complex_couplings_general_sets(self):
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            p = random_general(rng)
+            gs = (rng.uniform(1e-3, 0.3, 8)
+                  * np.exp(1j * rng.uniform(0.0, 3.0, 8)))
+            self.assert_identical(p, rng.uniform(0.1, 2.5), gs)
+
+    def test_vanishing_transduction_raises_as_scalar_route(self):
+        # g = 0 decouples the cavity: E == 0 at that grid point
+        p = params()
+        pz = replace(p, g_lin=0.0)
+        with pytest.raises(TransductionAbsentError) as scalar:
+            _noise(pz, solve_coefficients(pz, 1.05))
+        with pytest.raises(TransductionAbsentError) as batched:
+            _noise(p, solve_coefficients(p, 1.05,
+                                         g_lin=np.array([0.03, 0.0, 0.1])))
+        assert str(batched.value) == str(scalar.value)
+        with pytest.raises(TransductionAbsentError):
+            s_add(pz, 1.05)
+
+    def test_rejects_bad_couplings(self):
+        for bad in (np.array([0.03, np.nan]), np.array([[0.03]]), 0.03):
+            with pytest.raises(ParameterError):
+                solve_coefficients(params(), 1.05, g_lin=bad)
+        with pytest.raises(ParameterError):
+            solve_coefficients(params(), np.array([1.0, 1.1]),
+                               g_lin=np.array([0.03, 0.04]))
+
+
 class TestParameterTypes:
+    def test_numpy_scalar_frequency_gives_bit_equal_results(self):
+        # scans hand np.float64 grid elements to the scalar routes
+        p = params()
+        p0 = params(nth1=0.0, nth2=0.0)
+        for w in np.linspace(0.8, 1.3, 201):
+            assert s_add(p, w) == s_add(p, float(w))
+            assert _shot_backaction(p0, w) == _shot_backaction(p0, float(w))
+
     def test_numpy_scalars_give_bit_equal_results(self):
         rng = np.random.default_rng(8)
         for _ in range(50):

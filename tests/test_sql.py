@@ -10,7 +10,7 @@ from omdp_sense import (DetectorParams, ParameterError,
                         fit_shot_backaction, minimize_over_g_analytic,
                         minimize_over_g_numeric, omega_eff, r_factors, r_map,
                         s_add, s_min_sweep, som_sql, sql_result)
-from omdp_sense.optimize import golden_min
+from omdp_sense.optimize import golden_min, log_grid, scan_then_golden
 from omdp_sense.sql import _shot_backaction
 
 
@@ -125,9 +125,7 @@ class TestAnalyticMinimizer:
                 v_coupling=rng.uniform(0.0, 0.4) * wm)
             w = rng.uniform(0.9, 1.2) * wm
             an = minimize_over_g_analytic(p, w)
-            nu = minimize_over_g_numeric(
-                lambda g, w_, p=p: s_add(replace(p, g_lin=g), w_).s_add,
-                w, default_g_range(p))
+            nu = minimize_over_g_numeric(p, w, default_g_range(p))
             assert abs(an.s_sql - nu.s_sql) / nu.s_sql < 1e-6
             assert not nu.at_boundary
 
@@ -148,14 +146,30 @@ class TestAnalyticMinimizer:
 
 class TestNumericMinimizer:
     def test_boundary_flagged(self):
-        nu = minimize_over_g_numeric(lambda g, w: 1.0 / g ** 2 + g ** 2,
-                                     1.0, (2.0, 10.0))
+        # s_add rises with g above the optimum, so the range's low end wins
+        p = params(v_coupling=0.0)
+        lo = 2.0 * minimize_over_g_analytic(p, 1.0).g_opt
+        nu = minimize_over_g_numeric(p, 1.0, (lo, 5.0 * lo))
         assert nu.at_boundary
-        assert nu.g_opt == pytest.approx(2.0, rel=1e-6)
+        assert nu.g_opt == pytest.approx(lo, rel=1e-6)
 
     def test_bad_range_rejected(self):
         with pytest.raises(ParameterError):
-            minimize_over_g_numeric(lambda g, w: g, 1.0, (0.0, 1.0))
+            minimize_over_g_numeric(params(), 1.0, (0.0, 1.0))
+
+    def test_equals_scalar_evaluator_route(self):
+        # the grid is solved as one coupling array; the result must be the
+        # one a point-by-point scan over s_add gives, field for field
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            p, w = random_t0(rng)
+            g_range = default_g_range(p)
+            x, fx, edge = scan_then_golden(
+                lambda g: s_add(replace(p, g_lin=g), w).s_add,
+                log_grid(*g_range), rel_tol=1e-10)
+            nu = minimize_over_g_numeric(p, w, g_range)
+            assert (nu.g_opt, nu.s_sql, nu.at_boundary) == (x, fx, edge)
+            assert type(nu.s_sql) is float and type(nu.g_opt) is float
 
 
 class TestSomSql:
@@ -166,11 +180,11 @@ class TestSomSql:
     def test_matches_numeric_coupling_scan(self):
         from omdp_sense.spectra import s_add_som
         for w in (0.97, 1.0, 1.05):
-            nu = minimize_over_g_numeric(
-                lambda g, w_: s_add_som(1.0, 1e-5, 0.1, g, 0.0, w_),
-                w, (1e-6, 10.0))
+            _, s_min, _ = scan_then_golden(
+                lambda g: s_add_som(1.0, 1e-5, 0.1, g, 0.0, w),
+                log_grid(1e-6, 10.0), rel_tol=1e-10)
             assert som_sql(1.0, 1e-5, 0.1, w) == pytest.approx(
-                nu.s_sql, rel=1e-8)
+                s_min, rel=1e-8)
 
     def test_minimal_at_mechanical_resonance(self):
         ws = np.linspace(0.9, 1.1, 81)
