@@ -21,10 +21,10 @@ from .coefficients import (OutputCoefficients, closed_form_coefficients,
                            solve_coefficients)
 from .spectra import (AddNoise, SpectrumResult, s_add, s_add_resonant,
                       s_add_som, spectrum_sweep)
-from .sql import (GMinAnalytic, GMinNumeric, RMap, SqlResult, SweepResult,
+from .sql import (GMinAnalytic, GMinNumeric, RMap, SweepResult,
                   default_g_range, fit_shot_backaction,
                   minimize_over_g_analytic, minimize_over_g_numeric, r_factors,
-                  r_map, s_min_sweep, som_sql, sql_result)
+                  r_map, s_min_sweep, som_sql)
 from .sensing import (MagnetometerConfig, SensingReport, calibrate_conversion,
                       detection_accuracy, make_report, response_coefficient,
                       s_r, snr, snr_linearity)
@@ -40,10 +40,9 @@ __all__ = [
     "OutputCoefficients", "closed_form_coefficients", "solve_coefficients",
     "AddNoise", "SpectrumResult", "s_add", "s_add_resonant",
     "s_add_som", "spectrum_sweep",
-    "GMinAnalytic", "GMinNumeric", "RMap", "SqlResult", "SweepResult",
+    "GMinAnalytic", "GMinNumeric", "RMap", "SweepResult",
     "default_g_range", "fit_shot_backaction", "minimize_over_g_analytic",
     "minimize_over_g_numeric", "r_factors", "r_map", "s_min_sweep", "som_sql",
-    "sql_result",
     "MagnetometerConfig", "SensingReport", "calibrate_conversion",
     "detection_accuracy", "make_report", "response_coefficient", "s_r", "snr",
     "snr_linearity",

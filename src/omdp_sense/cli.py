@@ -21,7 +21,7 @@ from itertools import repeat
 import numpy as np
 
 from . import __version__
-from .errors import OmdpError, UsageError
+from .errors import OmdpError, ParameterError, UsageError
 from .model import DetectorParams, frequency_grid, omega_eff
 from .coefficients import closed_form_coefficients, solve_coefficients
 from .spectra import s_add, s_add_resonant, s_add_som, spectrum_sweep
@@ -40,28 +40,6 @@ class RunConfig:
     fmt: str
 
 
-SPECTRUM_DEFAULTS = {
-    "units": "omega_m", "omega_m_si": None,
-    "delta_prime": 1.0, "kappa": 0.1, "g": 0.03, "gamma": 1e-5,
-    "nth": 10.0, "v_list": (0.0, 0.2, 0.4),
-    "span_lo": 0.9, "span_hi": 1.2, "base_points": 401,
-}
-
-SQL_MAP_DEFAULTS = {
-    "units": "omega_m", "omega_m_si": None,
-    "delta_prime": 1.0, "kappa": 0.1, "g": 0.03, "gamma": 1e-5,
-    "omega_lo": 0.9, "omega_hi": 1.15, "omega_points": 101,
-    "v_lo": 0.0, "v_hi": 0.3, "v_points": 13,
-}
-
-SWEEP_DEFAULTS = {
-    "units": "omega_m", "omega_m_si": None,
-    "panel": "a", "mode": "fixed_g", "grid": "figure",
-    "delta_prime": 1.0, "kappa": 0.1, "g": 0.03, "gamma": 1e-5,
-    "v": 0.2, "nth": 10.0,
-    "lo": None, "hi": None, "points": None, "spacing": None,
-}
-
 # per-panel swept parameter and default range
 PANELS = {
     "a": ("v", 0.0, 0.5, 51, "lin"),
@@ -70,61 +48,116 @@ PANELS = {
     "d": ("kappa", 0.05, 0.5, 46, "lin"),
 }
 
-SNR_DEFAULTS = {
-    "units": "omega_m",
-    "delta_prime": 1.0, "kappa": 0.1, "g": 0.03,
-    "gamma": 32.0 / 10.56e6,      # 2*pi*32 Hz on the 10.56 MHz oscillator
-    "v": 0.2, "omega_m_si": DEFAULT_RATE_SCALE,
-    "temperature": 1e-3, "current": 10e-6, "probe_size": 15e-6,
-    "field": 1e-13, "anchor_snr": 1.7e6,
-    "v_lo": 0.02, "v_hi": 0.4, "v_points": 20,
-    "t_lo": 1e-4, "t_hi": 300.0, "t_points": 25,
-    "b_lo": 1e-15, "b_hi": 1e-12, "b_points": 13,
+# Config keys as key: (default, kind). A kind is "rate" (a finite number,
+# divided by omega_m_si under units = si), "real" (a finite number),
+# "positive" (a finite number > 0), "count" (a whole number >= 1, seed >= 0)
+# or the tuple of words the key accepts. A tuple default makes a list key;
+# a None default makes a key that may stay unset.
+_DETECTOR = {
+    "units": ("omega_m", ("omega_m", "si")),
+    "omega_m_si": (None, "positive"),
+    "delta_prime": (1.0, "rate"), "kappa": (0.1, "rate"),
+    "g": (0.03, "rate"), "gamma": (1e-5, "rate"),
 }
 
-VALIDATE_DEFAULTS = {
-    "units": "omega_m",
-    "seed": 20240817, "sets": 300, "sql_sets": 40,
+SCHEMA = {
+    "spectrum": dict(
+        _DETECTOR, nth=(10.0, "real"), v_list=((0.0, 0.2, 0.4), "rate"),
+        span_lo=(0.9, "rate"), span_hi=(1.2, "rate"),
+        base_points=(401, "count")),
+    "sql-map": dict(
+        _DETECTOR, omega_lo=(0.9, "rate"), omega_hi=(1.15, "rate"),
+        omega_points=(101, "count"), v_lo=(0.0, "rate"), v_hi=(0.3, "rate"),
+        v_points=(13, "count")),
+    "sweep": dict(
+        _DETECTOR, panel=("a", tuple(PANELS)),
+        mode=("fixed_g", ("fixed_g", "sql")),
+        grid=("figure", ("figure", "refined")), v=(0.2, "rate"),
+        nth=(10.0, "real"), lo=(None, "rate"), hi=(None, "rate"),
+        points=(None, "count"), spacing=(None, ("lin", "log"))),
+    "snr": dict(
+        # gamma: 2*pi*32 Hz on the 10.56 MHz oscillator
+        _DETECTOR, gamma=(32.0 / 10.56e6, "rate"),
+        v=(0.2, "rate"), omega_m_si=(DEFAULT_RATE_SCALE, "positive"),
+        temperature=(1e-3, "real"), current=(10e-6, "real"),
+        probe_size=(15e-6, "real"), field=(1e-13, "real"),
+        anchor_snr=(1.7e6, "real"),
+        v_lo=(0.02, "rate"), v_hi=(0.4, "rate"), v_points=(20, "count"),
+        t_lo=(1e-4, "positive"), t_hi=(300.0, "positive"),
+        t_points=(25, "count"),
+        b_lo=(1e-15, "positive"), b_hi=(1e-12, "positive"),
+        b_points=(13, "count")),
+    "validate": {
+        "units": _DETECTOR["units"],
+        "seed": (20240817, "count"), "sets": (300, "count"),
+        "sql_sets": (40, "count")},
 }
 
-DEFAULTS = {
-    "spectrum": SPECTRUM_DEFAULTS,
-    "sql-map": SQL_MAP_DEFAULTS,
-    "sweep": SWEEP_DEFAULTS,
-    "snr": SNR_DEFAULTS,
-    "validate": VALIDATE_DEFAULTS,
-}
+
+def _scalar(key, kind, x, scale):
+    """One value of `key` as its kind: text is parsed, numbers checked."""
+    if isinstance(kind, tuple):
+        x = x.strip() if isinstance(x, str) else x
+        if x not in kind:
+            raise UsageError("%s must be one of %s, got %r"
+                             % (key, ", ".join(kind), x))
+        return x
+    if isinstance(x, str):
+        text = x.strip()
+        try:
+            x = (int(text) if kind == "count" and text.isdigit()
+                 else float(text))
+        except ValueError:
+            raise UsageError("%s must be a number, got %r"
+                             % (key, text)) from None
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise UsageError("%s must be a number, got %r" % (key, x))
+    if kind == "count":
+        if isinstance(x, float):
+            if not x.is_integer():
+                raise UsageError("%s must be a whole number, got %r"
+                                 % (key, x))
+            x = int(x)
+        least = 0 if key == "seed" else 1
+        if x < least:
+            raise UsageError("%s must be at least %d, got %r"
+                             % (key, least, x))
+        return x
+    x = float(x) / scale if kind == "rate" else float(x)
+    if not math.isfinite(x):
+        raise ParameterError("%s must be finite, got %r" % (key, x))
+    if kind == "positive" and x <= 0:
+        raise ParameterError("%s must be positive, got %r" % (key, x))
+    return x
 
 
-def _parse_scalar(text):
-    t = text.strip()
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        return float(t)
-    except ValueError:
-        pass
-    return t
-
-
-def _parse_value(text):
-    if "," in text:
-        return tuple(_parse_scalar(p) for p in text.split(","))
-    return _parse_scalar(text)
+def _typed(key, value, default, kind, scale=1.0):
+    """A config value (text, number or list) as the kind its key declares."""
+    if value is None and default is None:
+        return None
+    if isinstance(value, str) and "," in value:
+        value = value.split(",")
+    if isinstance(default, tuple):
+        items = value if isinstance(value, (list, tuple)) else (value,)
+        return tuple(_scalar(key, kind, x, scale) for x in items)
+    if isinstance(value, (list, tuple)):
+        raise UsageError("%s takes one value, got a list" % key)
+    return _scalar(key, kind, value, scale)
 
 
 def load_config_file(path):
     """key = value lines with # comments, or a manifest JSON to rerun."""
-    with open(path, "r", encoding="utf-8") as fh:
-        content = fh.read()
-    stripped = content.lstrip()
-    if stripped.startswith("{"):
-        doc = json.loads(content)
-        table = doc.get("parameters", doc)
-        return {k: tuple(v) if isinstance(v, list) else v
-                for k, v in table.items()}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            content = fh.read()
+        if content.lstrip().startswith("{"):
+            doc = json.loads(content)
+            table = doc.get("parameters", doc)
+            if not isinstance(table, dict):
+                raise ValueError("parameters must be an object")
+            return table
+    except (OSError, ValueError) as exc:
+        raise UsageError("%s: %s" % (path, exc)) from None
     out = {}
     for lineno, raw in enumerate(content.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -133,73 +166,38 @@ def load_config_file(path):
         if "=" not in line:
             raise UsageError("%s:%d: expected key = value" % (path, lineno))
         key, val = line.split("=", 1)
-        out[key.strip()] = _parse_value(val)
+        out[key.strip()] = val
     return out
 
 
 def resolve_table(subcommand, config_path, overrides):
-    table = dict(DEFAULTS[subcommand])
-    layers = []
-    if config_path:
-        layers.append(load_config_file(config_path))
-    if overrides:
-        parsed = {}
-        for item in overrides:
-            if "=" not in item:
-                raise UsageError("--set needs key=value, got %r" % item)
-            key, val = item.split("=", 1)
-            parsed[key.strip()] = _parse_value(val)
-        layers.append(parsed)
+    """The typed parameter table: defaults, then the config file, then --set.
+
+    Under units = si, rate keys are divided by omega_m_si and the table is
+    recorded in units of the mechanical frequency.
+    """
+    schema = SCHEMA[subcommand]
+    raw = {key: default for key, (default, _) in schema.items()}
+    layers = [load_config_file(config_path)] if config_path else []
+    for item in overrides:
+        if "=" not in item:
+            raise UsageError("--set needs key=value, got %r" % item)
+        key, val = item.split("=", 1)
+        layers.append({key.strip(): val})
     for layer in layers:
         for key, val in layer.items():
-            if key not in table:
+            if key not in schema:
                 raise UsageError("unknown config key %r for %s"
                                  % (key, subcommand))
-            table[key] = val
-    if table.get("units") not in ("omega_m", "si"):
-        raise UsageError("units must be omega_m or si")
-    return table
-
-
-def _number(key, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise UsageError("%s must be a number, got %r" % (key, value))
-    return float(value)
-
-
-def _numbers(key, value):
-    values = value if isinstance(value, tuple) else (value,)
-    return tuple(_number(key, v) for v in values)
-
-
-def _count(key, value, least=0):
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError("%s must be a whole number, got %r" % (key, value))
-    if value < least:
-        raise UsageError("%s must be at least %d, got %r"
-                         % (key, least, value))
-    return value
-
-
-def _si_normalize(table):
-    # in si mode rate-like keys arrive in rad/s; rescale to omega_m units
-    if table.get("units") != "si":
-        return table
-    if "omega_m_si" not in table or not table["omega_m_si"]:
-        raise UsageError("units = si requires omega_m_si in rad/s")
-    w = _number("omega_m_si", table["omega_m_si"])
-    out = dict(table)
-    for key in ("delta_prime", "kappa", "g", "gamma", "v",
-                "lo", "hi", "v_lo", "v_hi", "omega_lo", "omega_hi",
-                "span_lo", "span_hi"):
-        if key in out and out[key] is not None:
-            out[key] = _number(key, out[key]) / w
-    if "v_list" in out:
-        out["v_list"] = tuple(v / w for v in _numbers("v_list", out["v_list"]))
-    out["units"] = "omega_m"
-    return out
+            raw[key] = val
+    scale = 1.0
+    if _typed("units", raw["units"], *schema["units"]) == "si":
+        if raw.get("omega_m_si") is None:
+            raise UsageError("units = si requires omega_m_si in rad/s")
+        scale = _typed("omega_m_si", raw["omega_m_si"], *schema["omega_m_si"])
+        raw["units"] = "omega_m"
+    return {key: _typed(key, raw[key], default, kind, scale)
+            for key, (default, kind) in schema.items()}
 
 
 def _digest(path):
@@ -215,6 +213,10 @@ def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     return list(obj)
+
+
+def _non_finite():
+    raise ValueError("NaN or inf cell")
 
 
 class Emitter:
@@ -254,68 +256,72 @@ class Emitter:
             json.dump(man, fh, indent=2, sort_keys=True, default=_json_default)
             fh.write("\n")
 
-    def table_file(self, stem, columns, rows):
-        if self.fmt == "csv":
-            filename = stem + ".csv"
-            path = os.path.join(self.out_dir, filename)
+    def _write(self, filename, write):
+        # a NaN or inf value raises ValueError, from the csv cell test or
+        # from json's allow_nan=False; the partial file is removed
+        path = os.path.join(self.out_dir, filename)
+        try:
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                wr = csv.writer(fh, lineterminator="\n")
-                wr.writerow(columns)
-                # %.17g round-trips every float and prints integers whole
-                wr.writerows([x if isinstance(x, str) else "%.17g" % x
-                              for x in row] for row in rows)
-        else:
-            filename = stem + ".json"
-            path = os.path.join(self.out_dir, filename)
-            doc = {"manifest": self._manifest(filename, None),
-                   "data": {"columns": list(columns),
-                            "rows": [list(r) for r in rows]}}
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
-                fh.write("\n")
+                write(fh)
+        except ValueError:
+            os.remove(path)
+            raise ParameterError("%s: refusing to write NaN or inf"
+                                 % filename) from None
         self._write_manifest(path, filename)
         self.files.append(path)
         return path
 
-    def json_file(self, stem, payload):
-        filename = stem + ".json"
-        path = os.path.join(self.out_dir, filename)
-        doc = {"manifest": self._manifest(filename, None), "data": payload}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
+    def _json(self, filename, data):
+        doc = {"manifest": self._manifest(filename, None), "data": data}
+
+        def write(fh):
+            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False,
+                      default=_json_default)
             fh.write("\n")
-        self._write_manifest(path, filename)
-        self.files.append(path)
-        return path
+        return self._write(filename, write)
+
+    def table_file(self, stem, columns, rows):
+        if self.fmt == "json":
+            return self._json(stem + ".json",
+                              {"columns": list(columns),
+                               "rows": [list(r) for r in rows]})
+
+        def write(fh):
+            isfinite = math.isfinite
+            wr = csv.writer(fh, lineterminator="\n")
+            wr.writerow(columns)
+            # %.17g round-trips every float and prints integers whole
+            wr.writerows([x if isinstance(x, str) else "%.17g" % x
+                          if isfinite(x) else _non_finite()
+                          for x in row] for row in rows)
+        return self._write(stem + ".csv", write)
+
+    def json_file(self, stem, payload):
+        return self._json(stem + ".json", payload)
 
 
 def _detector(table, v, nth):
-    gamma = _number("gamma", table["gamma"])
-    nth = _number("nth", nth)
+    gamma = table["gamma"]
     return DetectorParams(
-        delta_prime=_number("delta_prime", table["delta_prime"]),
-        kappa=_number("kappa", table["kappa"]),
-        g_lin=_number("g", table["g"]),
-        omega_m1=1.0, omega_m2=1.0, gamma1=gamma, gamma2=gamma,
-        v_coupling=_number("v", v), nth1=nth, nth2=nth)
+        delta_prime=table["delta_prime"], kappa=table["kappa"],
+        g_lin=table["g"], omega_m1=1.0, omega_m2=1.0, gamma1=gamma,
+        gamma2=gamma, v_coupling=v, nth1=nth, nth2=nth)
 
 
 def cmd_spectrum(config, emitter):
     t = config.table
-    gamma, kappa, g, nth, lo, hi = (_number(k, t[k]) for k in (
-        "gamma", "kappa", "g", "nth", "span_lo", "span_hi"))
-    base_points = _count("base_points", t["base_points"])
+    gamma, nth, points = t["gamma"], t["nth"], t["base_points"]
+    span = (t["span_lo"], t["span_hi"])
     rows = []
-    for v in _numbers("v_list", t["v_list"]):
+    for v in t["v_list"]:
         params = _detector(t, v, nth)
-        grid = frequency_grid([1.0, omega_eff(1.0, v)], gamma, (lo, hi),
-                              base_points)
+        grid = frequency_grid([1.0, omega_eff(1.0, v)], gamma, span, points)
         res = spectrum_sweep(params, grid)
         rows += zip(res.omega.tolist(), res.s_add.tolist(), res.s_th.tolist(),
                     res.a_p.tolist(), repeat("v=%g" % v))
-    for w in frequency_grid([1.0], gamma, (lo, hi), base_points).tolist():
-        rows.append((w, s_add_som(1.0, gamma, kappa, g, nth, w), gamma * nth,
-                     "", "som"))
+    for w in frequency_grid([1.0], gamma, span, points).tolist():
+        rows.append((w, s_add_som(1.0, gamma, t["kappa"], t["g"], nth, w),
+                     gamma * nth, "", "som"))
     emitter.table_file("spectrum",
                        ("omega_over_omega_m", "s_add", "s_th", "a_p", "series"),
                        rows)
@@ -324,10 +330,8 @@ def cmd_spectrum(config, emitter):
 def cmd_sql_map(config, emitter):
     t = config.table
     params = _detector(t, 0.0, 0.0)
-    omegas = np.linspace(float(t["omega_lo"]), float(t["omega_hi"]),
-                         _count("omega_points", t["omega_points"]))
-    vs = np.linspace(float(t["v_lo"]), float(t["v_hi"]),
-                     _count("v_points", t["v_points"]))
+    omegas = np.linspace(t["omega_lo"], t["omega_hi"], t["omega_points"])
+    vs = np.linspace(t["v_lo"], t["v_hi"], t["v_points"])
     m = r_map(params, omegas, vs)
     rows = []
     for i, v in enumerate(m.v_grid):
@@ -349,25 +353,20 @@ def cmd_sql_map(config, emitter):
 
 def cmd_sweep(config, emitter):
     t = config.table
-    panel = str(t["panel"])
-    if panel not in PANELS:
-        raise UsageError("panel must be one of a, b, c, d")
-    name, lo, hi, points, spacing = PANELS[panel]
-    lo = float(t["lo"]) if t["lo"] is not None else lo
-    hi = float(t["hi"]) if t["hi"] is not None else hi
-    if t["points"] is not None:
-        points = _count("points", t["points"])
-    spacing = str(t["spacing"]) if t["spacing"] is not None else spacing
-    if spacing == "log":
-        values = np.geomspace(lo, hi, points)
-    elif spacing == "lin":
-        values = np.linspace(lo, hi, points)
-    else:
-        raise UsageError("spacing must be lin or log")
-    mode = str(t["mode"])
-    nth = 0.0 if mode == "sql" else float(t["nth"])
+    panel, mode = t["panel"], t["mode"]
+    name, *panel_range = PANELS[panel]
+    # an unset lo, hi, points or spacing takes the panel's default
+    lo, hi, points, spacing = (
+        d if t[k] is None else t[k]
+        for k, d in zip(("lo", "hi", "points", "spacing"), panel_range))
+    if spacing == "log" and min(lo, hi) <= 0:
+        raise ParameterError("log spacing needs lo and hi > 0, got %r and %r"
+                             % (lo, hi))
+    space = np.geomspace if spacing == "log" else np.linspace
+    values = space(lo, hi, points)
+    nth = 0.0 if mode == "sql" else t["nth"]
     template = _detector(t, t["v"], nth)
-    res = s_min_sweep(template, name, values, mode=mode, grid=str(t["grid"]))
+    res = s_min_sweep(template, name, values, mode=mode, grid=t["grid"])
     emitter.extra["swept_parameter"] = name
     emitter.extra["skipped"] = [list(s) for s in res.skipped]
     emitter.extra["at_boundary"] = res.at_boundary
@@ -382,19 +381,17 @@ def cmd_sweep(config, emitter):
 
 def cmd_snr(config, emitter):
     t = config.table
-    rate_scale = float(t["omega_m_si"])
+    rate_scale, temperature = t["omega_m_si"], t["temperature"]
     base = _detector(t, t["v"], 0.0)
 
     # enhancement against coupling and against temperature
-    vs = np.linspace(float(t["v_lo"]), float(t["v_hi"]),
-                     _count("v_points", t["v_points"]))
-    rows = [(float(v), s_r(replace(base, v_coupling=float(v)),
-                           float(t["temperature"]), rate_scale))
+    vs = np.linspace(t["v_lo"], t["v_hi"], t["v_points"])
+    rows = [(float(v), s_r(replace(base, v_coupling=float(v)), temperature,
+                           rate_scale))
             for v in vs]
     emitter.table_file("s_r_vs_v", ("v_over_omega_m", "s_r"), rows)
 
-    temps = np.geomspace(float(t["t_lo"]), float(t["t_hi"]),
-                         _count("t_points", t["t_points"]))
+    temps = np.geomspace(t["t_lo"], t["t_hi"], t["t_points"])
     rows = [(float(tk), s_r(base, float(tk), rate_scale)) for tk in temps]
     emitter.table_file("s_r_vs_temperature", ("temperature_k", "s_r"), rows)
 
@@ -402,10 +399,10 @@ def cmd_snr(config, emitter):
     reports = {}
     for conv in ("power", "amplitude"):
         cfg = MagnetometerConfig(
-            current=float(t["current"]), probe_size=float(t["probe_size"]),
-            field=float(t["field"]), temperature=float(t["temperature"]),
-            conversion=1.0, convention=conv)
-        reports[conv] = make_report(base, cfg, float(t["anchor_snr"]),
+            current=t["current"], probe_size=t["probe_size"],
+            field=t["field"], temperature=temperature, conversion=1.0,
+            convention=conv)
+        reports[conv] = make_report(base, cfg, t["anchor_snr"],
                                     rate_scale=rate_scale)
 
     rp, ra = reports["power"], reports["amplitude"]
@@ -415,10 +412,9 @@ def cmd_snr(config, emitter):
                        ("omega_over_omega_m", "snr_power", "snr_amplitude"),
                        rows)
 
-    bs = np.geomspace(float(t["b_lo"]), float(t["b_hi"]),
-                      _count("b_points", t["b_points"]))
-    xi = response_coefficient(float(t["current"]), float(t["probe_size"]))
-    w_eff = omega_eff(1.0, float(t["v"]))
+    bs = np.geomspace(t["b_lo"], t["b_hi"], t["b_points"])
+    xi = response_coefficient(t["current"], t["probe_size"])
+    w_eff = omega_eff(1.0, t["v"])
     pt = rp.params
     rows = [(float(b),
              snr(pt, w_eff, rp.eta * xi, float(b), "power"),
@@ -459,9 +455,8 @@ def _rel(a, b):
 
 def cmd_validate(config, emitter):
     t = config.table
-    rng = np.random.default_rng(_count("seed", t["seed"]))
-    sets = _count("sets", t["sets"], least=1)
-    sql_sets = _count("sql_sets", t["sql_sets"], least=1)
+    rng = np.random.default_rng(t["seed"])
+    sets, sql_sets = t["sets"], t["sql_sets"]
     report = {}
 
     worst = 0.0
@@ -586,7 +581,6 @@ def main(argv=None):
 
     try:
         table = resolve_table(args.subcommand, args.config, args.set)
-        table = _si_normalize(table)
         config = RunConfig(subcommand=args.subcommand, table=table,
                            out_dir=args.out, fmt=args.format)
         emitter = Emitter(config, config_path=args.config)
@@ -606,6 +600,10 @@ def main(argv=None):
         return 2
     except OmdpError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        # an overflow or a zero divisor deep in the model
+        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1
 
 

@@ -50,8 +50,7 @@ class MagnetometerConfig:
             raise ParameterError("temperature must be non-negative")
         if self.conversion <= 0:
             raise ParameterError("conversion must be positive")
-        if self.convention not in CONVENTIONS:
-            raise ParameterError("convention must be power or amplitude")
+        _check_convention(self.convention)
 
 
 @dataclass(frozen=True)
@@ -163,8 +162,11 @@ def snr_linearity(params, xi_normalized, b_values, convention="power"):
         raise ParameterError("field values must be positive")
     w = omega_eff(params.omega_m1, params.v_coupling)
     logb = np.log10(np.asarray(b_values, dtype=float))
-    logs = np.array([math.log10(snr(params, w, xi_normalized, b, convention))
-                     for b in b_values])
+    snrs = [snr(params, w, xi_normalized, b, convention) for b in b_values]
+    if not (np.all(np.isfinite(logb))
+            and all(0 < s < math.inf for s in snrs)):
+        raise ParameterError("log SNR against log B is not finite")
+    logs = np.array([math.log10(s) for s in snrs])
     slope, intercept = np.polyfit(logb, logs, 1)
     resid = np.max(np.abs(logs - (slope * logb + intercept)))
     return float(slope), float(resid)

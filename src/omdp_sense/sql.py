@@ -31,19 +31,6 @@ SWEEP_POINTS = 51
 
 
 @dataclass(frozen=True)
-class SqlResult:
-    omega: float
-    s_sql: float
-    g_opt: float
-    r1: float
-    r2: float
-
-    def __post_init__(self):
-        if self.s_sql <= 0 or self.g_opt <= 0 or self.r1 <= 0 or self.r2 <= 0:
-            raise ParameterError("quantum-limit quantities must be positive")
-
-
-@dataclass(frozen=True)
 class GMinAnalytic:
     s_sql: float
     g_opt: float
@@ -186,13 +173,6 @@ def r_factors(params, omega):
     den2 = minimize_over_g_analytic(replace(params, v_coupling=0.0),
                                     params.omega_m1).s_sql
     return {"r1": num / den1, "r2": num / den2}
-
-
-def sql_result(params, omega):
-    gm = minimize_over_g_analytic(params, omega)
-    rf = r_factors(params, omega)
-    return SqlResult(omega=omega, s_sql=gm.s_sql, g_opt=gm.g_opt,
-                     r1=rf["r1"], r2=rf["r2"])
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from omdp_sense import (DetectorParams, closed_form_coefficients,
                         s_add_som, s_min_sweep, s_r, snr_linearity,
                         solve_coefficients, thermal_occupation,
                         MagnetometerConfig, make_report)
-from omdp_sense.cli import main as cli_main
+from omdp_sense.cli import _random_params as random_valid, main as cli_main
 from omdp_sense.optimize import golden_min
 
 W_SI = 2.0 * math.pi * 10.56e6
@@ -33,18 +33,6 @@ def reference(**kw):
              omega_m2=1.0, gamma1=1e-5, gamma2=1e-5, v_coupling=0.2)
     d.update(kw)
     return DetectorParams(**d)
-
-
-def random_valid(rng):
-    wm1 = rng.uniform(0.5, 2.0)
-    wm2 = rng.uniform(0.5, 2.0)
-    return DetectorParams(
-        delta_prime=rng.uniform(-2.0, 2.0),
-        kappa=rng.uniform(0.01, 1.0),
-        g_lin=rng.uniform(1e-3, 0.3),
-        omega_m1=wm1, omega_m2=wm2,
-        gamma1=rng.uniform(1e-5, 1e-2), gamma2=rng.uniform(1e-5, 1e-2),
-        v_coupling=rng.uniform(0.0, 0.9) * math.sqrt(wm1 * wm2))
 
 
 def rel(a, b):

@@ -1,10 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from omdp_sense.cli import main, resolve_table, load_config_file
+from omdp_sense.cli import SCHEMA, main, resolve_table, load_config_file
 from omdp_sense.errors import UsageError
 
 
@@ -46,6 +51,39 @@ class TestConfigResolution:
     def test_list_value_parsed(self):
         table = resolve_table("spectrum", None, ["v_list=0,0.1,0.3"])
         assert table["v_list"] == (0, 0.1, 0.3)
+
+    def test_values_take_their_kind(self, tmp_path):
+        # the same value typed alike from --set, a key = value file and
+        # a manifest JSON: rates as floats, counts as ints, lists as tuples
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("v_list = 0\nbase_points = 7.0\nnth = 3\n")
+        man = tmp_path / "run.json"
+        man.write_text(json.dumps({"parameters": {
+            "v_list": [0], "base_points": 7, "nth": 3}}))
+        sets = resolve_table("spectrum", None,
+                             ["v_list=0", "base_points=7", "nth=3"])
+        for table in (sets, resolve_table("spectrum", str(cfg), []),
+                      resolve_table("spectrum", str(man), [])):
+            assert [(table[k], type(table[k]))
+                    for k in ("nth", "base_points")] == [(3.0, float),
+                                                         (7, int)]
+            assert table["v_list"] == (0.0,)
+            assert type(table["v_list"][0]) is float
+
+    def test_si_rescales_rate_keys_only(self):
+        table = resolve_table("snr", None, [
+            "units=si", "omega_m_si=2.0", "kappa=0.5", "v=0.25",
+            "temperature=2"])
+        assert table["units"] == "omega_m"
+        assert (table["kappa"], table["v"]) == (0.25, 0.125)
+        assert (table["omega_m_si"], table["temperature"]) == (2.0, 2.0)
+
+    def test_unreadable_config_is_usage_error(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        for path in (bad, tmp_path / "missing.cfg"):
+            with pytest.raises(UsageError, match=path.name):
+                load_config_file(str(path))
 
 
 class TestExitCodes:
@@ -98,6 +136,50 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("usage error:") and key in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, setting, key", [
+        ("sweep", "lo=abc", "lo"), ("snr", "temperature=warm", "temperature"),
+        ("sql-map", "omega_lo=x", "omega_lo"),
+        ("snr", "omega_m_si=abc", "omega_m_si"), ("sweep", "mode=xyz", "mode"),
+        ("sweep", "points=0", "points"),
+        ("sql-map", "omega_points=0", "omega_points"),
+        ("snr", "v_points=0", "v_points"), ("snr", "t_lo=1,2", "t_lo"),
+        ("spectrum", "units=si", "omega_m_si")])
+    def test_bad_value_is_two(self, tmp_path, capsys, command, setting, key):
+        rc = main([command, "--set", setting, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage error:") and key in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, settings, word", [
+        ("sweep", ["lo=nan"], "lo"), ("sweep", ["panel=c", "lo=-1"], "log"),
+        ("snr", ["b_lo=-1"], "b_lo"), ("snr", ["b_hi=0"], "b_hi"),
+        ("sql-map", ["gamma=1e308"], "Overflow"),
+        ("sql-map", ["delta_prime=-1e308"], "ZeroDivision"),
+        ("sweep", ["gamma=1e308"], "NaN or inf"),
+        ("spectrum", ["gamma=1e308"], "NaN or inf")])
+    def test_value_outside_domain_is_one(self, tmp_path, capsys, command,
+                                         settings, word):
+        argv = [command, "--out", str(tmp_path)]
+        for setting in settings:
+            argv += ["--set", setting]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and word in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_non_finite_table_leaves_no_file(self, tmp_path, capsys):
+        # snr writes two tables before the field overflows its own
+        rc = main(["snr", "--set", "field=1e308", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "not finite" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == [
+            "s_r_vs_temperature.csv", "s_r_vs_temperature.csv.manifest.json",
+            "s_r_vs_v.csv", "s_r_vs_v.csv.manifest.json"]
 
     def test_clean_run_is_zero(self, tmp_path):
         rc = main(["sweep", "--set", "panel=b", "--set", "points=5",
@@ -300,3 +382,72 @@ class TestManifestReruns:
               "--out", str(second)])
         assert (first / "sweep_a.json").read_bytes() == \
                (second / "sweep_a.json").read_bytes()
+
+
+# --set layers drawn at random: each run exits 0 with finite data files, or
+# exits 1 or 2 with one message line and no traceback
+FUZZED = ("spectrum", "sql-map", "sweep", "snr")
+JUNK = ("abc", "warm", "1,2", "0", "-1", "1e308", "-1e308", "nan", "inf", "")
+VALID = {
+    "rate": st.floats(-2.0, 2.0),
+    "real": st.floats(0.0, 1e3),
+    "positive": st.floats(1e-15, 1e3),
+}
+
+
+def _setting(command, key):
+    default, kind = SCHEMA[command][key]
+    if isinstance(kind, tuple):
+        value = st.sampled_from(kind + JUNK)
+    elif kind == "count":
+        # counts stay small: a huge one is a memory request, not a value
+        value = st.integers(1, 50).map(str) | st.sampled_from(
+            ("0", "-3", "2.5", "abc", "nan", "1,2"))
+    else:
+        value = VALID[kind].map(repr) | st.sampled_from(JUNK)
+        if isinstance(default, tuple):
+            value = value | st.lists(VALID[kind].map(repr), min_size=1,
+                                     max_size=3).map(",".join)
+    return value.map(lambda v: "%s=%s" % (key, v))
+
+
+def _refuse(constant):
+    raise AssertionError("%s in a data file" % constant)
+
+
+def _assert_finite(path):
+    with open(path, encoding="utf-8") as fh:
+        if path.endswith(".json"):
+            json.load(fh, parse_constant=_refuse)
+            return
+        for row in list(csv.reader(fh))[1:]:
+            for cell in row:
+                x = _maybe_float(cell)
+                assert isinstance(x, str) or math.isfinite(x), (path, row)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_random_set_layers_exit_cleanly(data):
+    command = data.draw(st.sampled_from(FUZZED))
+    keys = st.sampled_from(sorted(SCHEMA[command]))
+    layer = data.draw(st.lists(keys.flatmap(
+        lambda key: _setting(command, key)), max_size=4))
+    fmt = data.draw(st.sampled_from(("csv", "json")))
+    argv = [command, "--format", fmt]
+    for setting in layer:
+        argv += ["--set", setting]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv + ["--out", out])
+        if rc == 0:
+            for name in os.listdir(out):
+                if not name.endswith(".manifest.json"):
+                    _assert_finite(os.path.join(out, name))
+    msg = err.getvalue()
+    assert rc in (0, 1, 2), argv
+    if rc:
+        prefix = "error:" if rc == 1 else "usage error:"
+        assert msg.startswith(prefix) and msg.count("\n") == 1, (argv, msg)

@@ -9,7 +9,7 @@ from omdp_sense import (DetectorParams, ParameterError,
                         StructureViolationError, default_g_range,
                         fit_shot_backaction, minimize_over_g_analytic,
                         minimize_over_g_numeric, omega_eff, r_factors, r_map,
-                        s_add, s_min_sweep, som_sql, sql_result)
+                        s_add, s_min_sweep, som_sql)
 from omdp_sense.optimize import golden_min, log_grid, scan_then_golden
 from omdp_sense.sql import _shot_backaction
 
@@ -218,11 +218,6 @@ class TestRFactors:
     def test_rejects_thermal_state(self):
         with pytest.raises(ParameterError):
             r_factors(params(nth1=1.0, nth2=1.0), 1.0)
-
-    def test_sql_result_bundle(self):
-        res = sql_result(params(), 1.05)
-        assert res.s_sql > 0 and res.g_opt > 0
-        assert res.r1 > 0 and res.r2 > 0
 
 
 class TestRMap:
