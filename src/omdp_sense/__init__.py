@@ -10,13 +10,12 @@ magnetometer figures of merit.
 
 __version__ = "0.1.0"
 
-from .errors import (ConvergenceError, OmdpError, ParameterError,
-                     SingularSystemError, StructureViolationError,
-                     TransductionAbsentError, UsageError)
-from .model import (DetectorParams, DriveConfig, SteadyState, chi_cavity,
-                    chi_cavity_conj, chi_mech, frequency_grid,
-                    occupation_temperature, omega_eff, single_photon_coupling,
-                    steady_state, thermal_occupation)
+from .errors import (OmdpError, ParameterError, SingularSystemError,
+                     StructureViolationError, TransductionAbsentError,
+                     UsageError)
+from .model import (DetectorParams, chi_cavity, chi_cavity_conj, chi_mech,
+                    frequency_grid, occupation_temperature, omega_eff,
+                    thermal_occupation)
 from .coefficients import (OutputCoefficients, closed_form_coefficients,
                            solve_coefficients)
 from .spectra import (AddNoise, SpectrumResult, s_add, s_add_resonant,
@@ -31,11 +30,10 @@ from .sensing import (MagnetometerConfig, SensingReport, calibrate_conversion,
 
 __all__ = [
     "__version__",
-    "OmdpError", "ParameterError", "ConvergenceError", "SingularSystemError",
+    "OmdpError", "ParameterError", "SingularSystemError",
     "TransductionAbsentError", "StructureViolationError", "UsageError",
-    "DetectorParams", "DriveConfig", "SteadyState", "chi_cavity",
-    "chi_cavity_conj", "chi_mech", "frequency_grid", "occupation_temperature",
-    "omega_eff", "single_photon_coupling", "steady_state",
+    "DetectorParams", "chi_cavity", "chi_cavity_conj", "chi_mech",
+    "frequency_grid", "occupation_temperature", "omega_eff",
     "thermal_occupation",
     "OutputCoefficients", "closed_form_coefficients", "solve_coefficients",
     "AddNoise", "SpectrumResult", "s_add", "s_add_resonant",

@@ -50,15 +50,20 @@ PANELS = {
 
 # Config keys as key: (default, kind). A kind is "rate" (a finite number,
 # divided by omega_m_si under units = si), "real" (a finite number),
-# "positive" (a finite number > 0), "count" (a whole number >= 1, seed >= 0)
-# or the tuple of words the key accepts. A tuple default makes a list key;
-# a None default makes a key that may stay unset.
+# "positive" (a finite number > 0), "count" (a whole number from 1 to
+# MAX_COUNT; seed any whole number >= 0) or the tuple of words the key
+# accepts. A tuple default makes a list key; a None default makes a key
+# that may stay unset.
 _DETECTOR = {
     "units": ("omega_m", ("omega_m", "si")),
     "omega_m_si": (None, "positive"),
     "delta_prime": (1.0, "rate"), "kappa": (0.1, "rate"),
     "g": (0.03, "rate"), "gamma": (1e-5, "rate"),
 }
+
+# largest grid or set count: counts size arrays, and a count near 1e308
+# would end in numpy's allocation error instead of a message
+MAX_COUNT = 10 ** 7
 
 SCHEMA = {
     "spectrum": dict(
@@ -96,6 +101,7 @@ SCHEMA = {
 
 def _scalar(key, kind, x, scale):
     """One value of `key` as its kind: text is parsed, numbers checked."""
+    given = x
     if isinstance(kind, tuple):
         x = x.strip() if isinstance(x, str) else x
         if x not in kind:
@@ -122,6 +128,9 @@ def _scalar(key, kind, x, scale):
         if x < least:
             raise UsageError("%s must be at least %d, got %r"
                              % (key, least, x))
+        if key != "seed" and x > MAX_COUNT:
+            raise UsageError("%s must be at most %d, got %s"
+                             % (key, MAX_COUNT, str(given).strip()))
         return x
     x = float(x) / scale if kind == "rate" else float(x)
     if not math.isfinite(x):
@@ -591,7 +600,10 @@ def main(argv=None):
             "snr": cmd_snr,
             "validate": cmd_validate,
         }[args.subcommand]
-        rc = handler(config, emitter)
+        # an overflow shows as NaN or inf, which Emitter refuses, or as an
+        # ArithmeticError; numpy's warnings would only repeat it
+        with np.errstate(all="ignore"):
+            rc = handler(config, emitter)
         for path in emitter.files:
             print(path)
         return int(rc) if rc else 0

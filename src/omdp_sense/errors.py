@@ -9,14 +9,6 @@ class ParameterError(OmdpError):
     """A parameter violates its documented domain."""
 
 
-class ConvergenceError(OmdpError):
-    """An iterative solve did not reach the requested residual."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class SingularSystemError(OmdpError):
     """The response system is numerically singular."""
 

@@ -9,16 +9,20 @@ from .errors import OmdpError
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
+# golden-section stopping rule: relative bracket width, iteration cap
+REL_TOL = 1e-10
+MAX_ITER = 400
 
-def golden_min(f, a, b, rel_tol=1e-10, max_iter=400):
-    """Golden-section minimum of f on [a, b] to relative interval rel_tol."""
+
+def golden_min(f, a, b):
+    """Golden-section minimum of f on [a, b] to relative interval REL_TOL."""
     a, b = float(a), float(b)
     c = a + INVPHI2 * (b - a)
     d = a + INVPHI * (b - a)
     fc, fd = f(c), f(d)
     best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    for _ in range(max_iter):
-        if (b - a) <= rel_tol * max(abs(a), abs(b), 1e-300):
+    for _ in range(MAX_ITER):
+        if (b - a) <= REL_TOL * max(abs(a), abs(b), 1e-300):
             break
         if fc <= fd:
             b, d, fd = d, c, fc
@@ -62,7 +66,7 @@ def scan_min(f, xs, f_grid=None):
     return k, vals[k]
 
 
-def scan_then_golden(f, xs, rel_tol=1e-10, f_grid=None):
+def scan_then_golden(f, xs, f_grid=None):
     """Grid scan followed by golden-section polish in the winning cell.
 
     ``f_grid`` is passed on to ``scan_min``; the polish always calls f.
@@ -75,7 +79,7 @@ def scan_then_golden(f, xs, rel_tol=1e-10, f_grid=None):
     lo = xs[max(k - 1, 0)]
     hi = xs[min(k + 1, len(xs) - 1)]
     if hi > lo:
-        x, fx = golden_min(f, lo, hi, rel_tol=rel_tol)
+        x, fx = golden_min(f, lo, hi)
         if fx < fk:
             return x, fx, at_boundary
     return float(xs[k]), fk, at_boundary

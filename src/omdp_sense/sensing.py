@@ -107,27 +107,34 @@ def calibrate_conversion(params, xi, anchor, convention="power"):
     return target * math.sqrt(noise) / (xi * b)
 
 
-def detection_accuracy(params, xi_normalized, convention="power", omega=None):
-    """Field strength at which the SNR reaches one, under either convention."""
+def detection_accuracy(params, xi_normalized, convention="power"):
+    """Field strength at which the SNR reaches one at the upper normal mode,
+    under either convention."""
     _check_convention(convention)
     if xi_normalized <= 0:
         raise ParameterError("xi_normalized must be positive")
-    if omega is None:
-        omega = omega_eff(params.omega_m1, params.v_coupling)
-    noise = s_add(params, omega).s_add
+    noise = s_add(params, omega_eff(params.omega_m1, params.v_coupling)).s_add
     # SNR = 1 inverts to the same closed form under both conventions;
     # the convention still matters because it fixes the calibrated xi.
     return math.sqrt(noise) / xi_normalized
 
 
-def som_noise_floor(params, rate_scale=DEFAULT_RATE_SCALE, temperature=0.0):
-    """Minimum over frequency of the single-oscillator baseline noise."""
-    nth1 = thermal_occupation(params.omega_m1 * rate_scale, temperature)
+def _thermalized(params, temperature, rate_scale):
+    """params with both oscillators' occupations at the bath temperature."""
+    return replace(
+        params,
+        nth1=thermal_occupation(params.omega_m1 * rate_scale, temperature),
+        nth2=thermal_occupation(params.omega_m2 * rate_scale, temperature))
+
+
+def som_noise_floor(params):
+    """Minimum over frequency of the single-oscillator baseline noise,
+    with oscillator 1's rates, occupation and coupling."""
     wm = params.omega_m1
 
     def f(w):
         return s_add_som(wm, params.gamma1, params.kappa,
-                         abs(params.g_lin), nth1, w)
+                         abs(params.g_lin), params.nth1, w)
 
     grid = frequency_grid([wm], params.gamma1, (0.8 * wm, 1.3 * wm), 201)
     _, fx, _ = optimize.scan_then_golden(f, grid)
@@ -143,14 +150,9 @@ def s_r(params, temperature, rate_scale=DEFAULT_RATE_SCALE):
     the baseline noise floor divided by the dual-probe noise, independent of
     xi, field and calibration.
     """
-    occ1 = thermal_occupation(params.omega_m1 * rate_scale, temperature)
-    occ2 = thermal_occupation(params.omega_m2 * rate_scale, temperature)
-    pt = replace(params, nth1=occ1, nth2=occ2)
-    w_eff = omega_eff(params.omega_m1, params.v_coupling)
-    dual = s_add(pt, w_eff).s_add
-    floor = som_noise_floor(params, rate_scale=rate_scale,
-                            temperature=temperature)
-    return floor / dual
+    pt = _thermalized(params, temperature, rate_scale)
+    dual = s_add(pt, omega_eff(pt.omega_m1, pt.v_coupling)).s_add
+    return som_noise_floor(pt) / dual
 
 
 def snr_linearity(params, xi_normalized, b_values, convention="power"):
@@ -172,24 +174,23 @@ def snr_linearity(params, xi_normalized, b_values, convention="power"):
     return float(slope), float(resid)
 
 
-def make_report(params, config, anchor_snr, b_values=None,
-                omega_grid=None, rate_scale=DEFAULT_RATE_SCALE):
-    """Assemble the labeled sensing summary for one magnetometer setup."""
+def make_report(params, config, anchor_snr, rate_scale=DEFAULT_RATE_SCALE):
+    """Assemble the labeled sensing summary for one magnetometer setup.
+
+    The SNR spectrum runs over 0.9 to 1.2 omega_m1, refined at omega_m1 and
+    the upper normal mode; the log-log slope over field/100 to field*10.
+    """
     xi = response_coefficient(config.current, config.probe_size)
-    occ1 = thermal_occupation(params.omega_m1 * rate_scale, config.temperature)
-    occ2 = thermal_occupation(params.omega_m2 * rate_scale, config.temperature)
-    pt = replace(params, nth1=occ1, nth2=occ2)
+    pt = _thermalized(params, config.temperature, rate_scale)
     w_eff = omega_eff(pt.omega_m1, pt.v_coupling)
     eta = calibrate_conversion(
         pt, xi, {"b_field": config.field, "snr_target": anchor_snr,
                  "omega": w_eff},
         convention=config.convention)
     xin = eta * xi
-    if b_values is None:
-        b_values = tuple(np.geomspace(config.field / 100.0, config.field * 10.0, 7))
-    if omega_grid is None:
-        omega_grid = frequency_grid([pt.omega_m1, w_eff], pt.gamma1,
-                                    (0.9 * pt.omega_m1, 1.2 * pt.omega_m1), 101)
+    b_values = tuple(np.geomspace(config.field / 100.0, config.field * 10.0, 7))
+    omega_grid = frequency_grid([pt.omega_m1, w_eff], pt.gamma1,
+                                (0.9 * pt.omega_m1, 1.2 * pt.omega_m1), 101)
     snrs = tuple(snr(pt, w, xin, config.field, config.convention)
                  for w in omega_grid)
     slope, _ = snr_linearity(pt, xin, b_values, config.convention)
@@ -197,5 +198,5 @@ def make_report(params, config, anchor_snr, b_values=None,
         snr_at_omega_eff=snr(pt, w_eff, xin, config.field, config.convention),
         snr_omegas=tuple(float(w) for w in omega_grid),
         snr_values=snrs,
-        b_min=detection_accuracy(pt, xin, config.convention, omega=w_eff),
+        b_min=detection_accuracy(pt, xin, config.convention),
         slope=slope, convention=config.convention, eta=eta, params=pt)

@@ -55,10 +55,16 @@ def _noise(params, co):
         a, b, c, d, e = (Exact(z) for z in (a, b, c, d, e))
     if not e:
         raise TransductionAbsentError("output transduction vanished")
-    sth = (params.gamma1 * params.nth1 * abs(c / e) ** 2
-           + params.gamma2 * params.nth2 * abs(d / e) ** 2)
+    sth = _thermal(params, c / e, d / e)
     quantum = 0.5 * (abs(a / e) ** 2 + abs(b / e) ** 2)
     return quantum + sth, sth
+
+
+def _thermal(params, rc, rd):
+    """Thermal noise gamma1 nth1 |rc|^2 + gamma2 nth2 |rd|^2 for the
+    thermal-force output ratios rc = C/E and rd = D/E."""
+    return (params.gamma1 * params.nth1 * abs(rc) ** 2
+            + params.gamma2 * params.nth2 * abs(rd) ** 2)
 
 
 def _shot_prefactor(omega, kappa):
@@ -99,9 +105,7 @@ def s_add_resonant(params, omega):
     # thermal part through the exact coupling-independent output ratios
     rc = (params.v_coupling * x1 * x2 - x1) / w2
     rd = (params.v_coupling * x1 * x2 - x2) / w2
-    sth = (params.gamma1 * params.nth1 * abs(rc) ** 2
-           + params.gamma2 * params.nth2 * abs(rd) ** 2)
-    return abs(shot / gr + y * gr) ** 2 + sth
+    return abs(shot / gr + y * gr) ** 2 + _thermal(params, rc, rd)
 
 
 def s_add_som(omega_m, gamma1, kappa, g_lin, nth1, omega):

@@ -34,9 +34,6 @@ SWEEP_POINTS = 51
 class GMinAnalytic:
     s_sql: float
     g_opt: float
-    p: float
-    q: float
-    r: float
 
 
 @dataclass(frozen=True)
@@ -48,14 +45,11 @@ class GMinNumeric:
 
 @dataclass(frozen=True)
 class SweepResult:
-    param: str
     values: tuple
     s_min: tuple
     omega_at_min: tuple
     g_opt: tuple
     skipped: tuple
-    params: object
-    grid_mode: str
     at_boundary: int  # values whose minimum sat on an end of the scan grid
 
 
@@ -94,13 +88,13 @@ def minimize_over_g_analytic(params, omega):
             "noise has no shot/back-action balance (p = %.3g, q = %.3g)"
             % (p, q))
     return GMinAnalytic(s_sql=2.0 * math.sqrt(p * q) + r,
-                        g_opt=(p / q) ** 0.25, p=p, q=q, r=r)
+                        g_opt=(p / q) ** 0.25)
 
 
-def minimize_over_g_numeric(params, omega, g_range, per_decade=64):
+def minimize_over_g_numeric(params, omega, g_range):
     """Minimize the solver's s_add over real g: scan, then golden section.
 
-    The log grid over g_range (per_decade points a decade) is solved in one
+    The log grid over g_range (64 points a decade) is solved in one
     coupling-array pass, equal bit for bit to s_add point by point; the
     polish calls s_add. The result is flagged when the scan minimum sits on
     the range boundary.
@@ -115,9 +109,8 @@ def minimize_over_g_numeric(params, omega, g_range, per_decade=64):
     def at(g):
         return s_add(replace(params, g_lin=g), omega).s_add
 
-    xs = optimize.log_grid(lo, hi, per_decade=per_decade)
-    x, fx, at_boundary = optimize.scan_then_golden(at, xs, rel_tol=1e-10,
-                                                   f_grid=on_grid)
+    xs = optimize.log_grid(lo, hi)
+    x, fx, at_boundary = optimize.scan_then_golden(at, xs, f_grid=on_grid)
     return GMinNumeric(s_sql=fx, g_opt=x, at_boundary=at_boundary)
 
 
@@ -299,8 +292,7 @@ def s_min_sweep(template, param, values, mode="fixed_g", grid="figure"):
         if mode == "sql":
             out_g.append(minimize_over_g_analytic(pv, w_at).g_opt)
 
-    return SweepResult(param=param, values=tuple(out_v), s_min=tuple(out_s),
+    return SweepResult(values=tuple(out_v), s_min=tuple(out_s),
                        omega_at_min=tuple(out_w),
                        g_opt=tuple(out_g) if mode == "sql" else None,
-                       skipped=tuple(skipped), params=template, grid_mode=grid,
-                       at_boundary=at_boundary)
+                       skipped=tuple(skipped), at_boundary=at_boundary)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,7 +145,10 @@ class TestExitCodes:
         ("sweep", "points=0", "points"),
         ("sql-map", "omega_points=0", "omega_points"),
         ("snr", "v_points=0", "v_points"), ("snr", "t_lo=1,2", "t_lo"),
-        ("spectrum", "units=si", "omega_m_si")])
+        ("spectrum", "units=si", "omega_m_si"),
+        ("sweep", "points=1e308", "points"), ("sweep", "points=1e12", "points"),
+        ("sql-map", "omega_points=1e308", "omega_points"),
+        ("snr", "v_points=1e300", "v_points")])
     def test_bad_value_is_two(self, tmp_path, capsys, command, setting, key):
         rc = main([command, "--set", setting, "--out", str(tmp_path)])
         err = capsys.readouterr().err
@@ -171,6 +175,14 @@ class TestExitCodes:
         assert err.startswith("error:") and word in err
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
+
+    def test_overflow_prints_no_numpy_warning(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["spectrum", "--set", "gamma=1e308",
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_non_finite_table_leaves_no_file(self, tmp_path, capsys):
         # snr writes two tables before the field overflows its own

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omdp_sense import (DetectorParams, DriveConfig, ParameterError,
-                        chi_cavity, chi_cavity_conj, chi_mech, frequency_grid,
-                        occupation_temperature, omega_eff,
-                        single_photon_coupling, steady_state,
-                        thermal_occupation)
+from omdp_sense import (DetectorParams, ParameterError, chi_cavity,
+                        chi_cavity_conj, chi_mech, frequency_grid,
+                        occupation_temperature, omega_eff, thermal_occupation)
 
 W_SI = 2.0 * math.pi * 10.56e6
 
@@ -165,60 +163,3 @@ class TestFrequencyGrid:
     def test_strictly_increasing(self):
         grid = frequency_grid([1.0, 1.05], 2e-5, (0.8, 1.3), 57)
         assert np.all(np.diff(grid) > 0)
-
-
-class TestSteadyState:
-    def drive(self, power=1e-9):
-        return DriveConfig(power=power, omega_d=2 * math.pi * 200e12,
-                           kappa_ex=0.05 * W_SI, g0_1=100.0, g0_2=100.0,
-                           delta_bare=W_SI, cavity_length=1e-3, mass=1e-12)
-
-    def kw(self):
-        return dict(kappa=0.1 * W_SI, omega_m1=W_SI, omega_m2=W_SI,
-                    v_coupling=0.2 * W_SI, xi_b1=0.0, xi_b2=0.0)
-
-    def test_undriven_fixed_point(self):
-        ss = steady_state(self.drive(power=0.0), **self.kw())
-        assert ss.a_mean == 0.0
-        assert ss.q1 == 0.0 and ss.q2 == 0.0
-        assert ss.delta_prime == W_SI
-
-    def test_decoupled_drive(self):
-        drive = DriveConfig(power=1e-9, omega_d=2 * math.pi * 200e12,
-                            kappa_ex=0.05 * W_SI, g0_1=0.0, g0_2=0.0,
-                            delta_bare=W_SI, cavity_length=1e-3, mass=1e-12)
-        ss = steady_state(drive, **self.kw())
-        want = drive.epsilon / (1j * W_SI + 0.05 * W_SI)
-        assert ss.a_mean == pytest.approx(want, rel=1e-12)
-        assert ss.q1 == 0.0 and ss.q2 == 0.0
-
-    def test_generic_residual(self):
-        ss = steady_state(self.drive(), **self.kw())
-        assert ss.residual < 1e-12
-
-    def test_field_bias_displaces(self):
-        kw = self.kw()
-        kw["xi_b1"] = 1e-3 * W_SI
-        ss = steady_state(self.drive(power=0.0), **kw)
-        # bias on probe 1 pushes probe 2 the other way through v
-        assert ss.q1 > 0.0
-        assert ss.q2 < 0.0
-        assert ss.residual < 1e-12
-
-    def test_symmetric_probes_match(self):
-        ss = steady_state(self.drive(), **self.kw())
-        assert ss.q1 == pytest.approx(ss.q2, rel=1e-12)
-
-
-def test_single_photon_coupling_scale():
-    g0 = single_photon_coupling(2 * math.pi * 200e12, 1e-3, 1e-12, W_SI)
-    assert g0 == pytest.approx(1120.2399419946455, rel=1e-12)
-
-
-def test_drive_epsilon_formula():
-    d = DriveConfig(power=1e-9, omega_d=2 * math.pi * 200e12,
-                    kappa_ex=0.05 * W_SI, g0_1=100.0, g0_2=100.0,
-                    delta_bare=W_SI, cavity_length=1e-3, mass=1e-12)
-    import omdp_sense.model as m
-    want = 2.0 * math.sqrt(1e-9 * 0.05 * W_SI / (m.HBAR * d.omega_d))
-    assert d.epsilon == pytest.approx(want, rel=1e-14)

@@ -166,7 +166,7 @@ class TestNumericMinimizer:
             g_range = default_g_range(p)
             x, fx, edge = scan_then_golden(
                 lambda g: s_add(replace(p, g_lin=g), w).s_add,
-                log_grid(*g_range), rel_tol=1e-10)
+                log_grid(*g_range))
             nu = minimize_over_g_numeric(p, w, g_range)
             assert (nu.g_opt, nu.s_sql, nu.at_boundary) == (x, fx, edge)
             assert type(nu.s_sql) is float and type(nu.g_opt) is float
@@ -182,7 +182,7 @@ class TestSomSql:
         for w in (0.97, 1.0, 1.05):
             _, s_min, _ = scan_then_golden(
                 lambda g: s_add_som(1.0, 1e-5, 0.1, g, 0.0, w),
-                log_grid(1e-6, 10.0), rel_tol=1e-10)
+                log_grid(1e-6, 10.0))
             assert som_sql(1.0, 1e-5, 0.1, w) == pytest.approx(
                 s_min, rel=1e-8)
 
