@@ -24,9 +24,8 @@ from .sql import (GMinAnalytic, GMinNumeric, RMap, SweepResult,
                   default_g_range, fit_shot_backaction,
                   minimize_over_g_analytic, minimize_over_g_numeric, r_factors,
                   r_map, s_min_sweep, som_sql)
-from .sensing import (MagnetometerConfig, SensingReport, calibrate_conversion,
-                      detection_accuracy, make_report, response_coefficient,
-                      s_r, snr, snr_linearity)
+from .sensing import (MagnetometerConfig, SensingReport, make_report,
+                      response_coefficient, s_r, snr, snr_linearity)
 
 __all__ = [
     "__version__",
@@ -41,7 +40,6 @@ __all__ = [
     "GMinAnalytic", "GMinNumeric", "RMap", "SweepResult",
     "default_g_range", "fit_shot_backaction", "minimize_over_g_analytic",
     "minimize_over_g_numeric", "r_factors", "r_map", "s_min_sweep", "som_sql",
-    "MagnetometerConfig", "SensingReport", "calibrate_conversion",
-    "detection_accuracy", "make_report", "response_coefficient", "s_r", "snr",
-    "snr_linearity",
+    "MagnetometerConfig", "SensingReport", "make_report",
+    "response_coefficient", "s_r", "snr", "snr_linearity",
 ]

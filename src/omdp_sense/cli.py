@@ -61,9 +61,10 @@ _DETECTOR = {
     "g": (0.03, "rate"), "gamma": (1e-5, "rate"),
 }
 
-# largest grid or set count: counts size arrays, and a count near 1e308
-# would end in numpy's allocation error instead of a message
-MAX_COUNT = 10 ** 7
+# largest grid or set count, and largest table in rows: counts size
+# arrays and row lists, and a count near 1e308 would end in numpy's
+# allocation error instead of a message
+MAX_COUNT = 10 ** 6
 
 SCHEMA = {
     "spectrum": dict(
@@ -309,6 +310,14 @@ class Emitter:
         return self._json(stem + ".json", payload)
 
 
+def _check_rows(table, rows, keys):
+    """Refuse, before any solve, a table of more than MAX_COUNT rows."""
+    if rows > MAX_COUNT:
+        raise UsageError("%s table would hold %d rows, more than %d; "
+                         "lower %s" % (table, rows, MAX_COUNT,
+                                       " or ".join(keys)))
+
+
 def _detector(table, v, nth):
     gamma = table["gamma"]
     return DetectorParams(
@@ -321,6 +330,8 @@ def cmd_spectrum(config, emitter):
     t = config.table
     gamma, nth, points = t["gamma"], t["nth"], t["base_points"]
     span = (t["span_lo"], t["span_hi"])
+    _check_rows("spectrum", (len(t["v_list"]) + 1) * points,
+                ("v_list", "base_points"))
     rows = []
     for v in t["v_list"]:
         params = _detector(t, v, nth)
@@ -338,6 +349,8 @@ def cmd_spectrum(config, emitter):
 
 def cmd_sql_map(config, emitter):
     t = config.table
+    _check_rows("sql_map", t["omega_points"] * t["v_points"],
+                ("omega_points", "v_points"))
     params = _detector(t, 0.0, 0.0)
     omegas = np.linspace(t["omega_lo"], t["omega_hi"], t["omega_points"])
     vs = np.linspace(t["v_lo"], t["v_hi"], t["v_points"])
@@ -409,8 +422,7 @@ def cmd_snr(config, emitter):
     for conv in ("power", "amplitude"):
         cfg = MagnetometerConfig(
             current=t["current"], probe_size=t["probe_size"],
-            field=t["field"], temperature=temperature, conversion=1.0,
-            convention=conv)
+            field=t["field"], temperature=temperature, convention=conv)
         reports[conv] = make_report(base, cfg, t["anchor_snr"],
                                     rate_scale=rate_scale)
 
@@ -423,11 +435,8 @@ def cmd_snr(config, emitter):
 
     bs = np.geomspace(t["b_lo"], t["b_hi"], t["b_points"])
     xi = response_coefficient(t["current"], t["probe_size"])
-    w_eff = omega_eff(1.0, t["v"])
-    pt = rp.params
-    rows = [(float(b),
-             snr(pt, w_eff, rp.eta * xi, float(b), "power"),
-             snr(pt, w_eff, ra.eta * xi, float(b), "amplitude"))
+    rows = [(float(b), snr(rp.noise, rp.eta * xi * float(b), "power"),
+             snr(ra.noise, ra.eta * xi * float(b), "amplitude"))
             for b in bs]
     emitter.table_file("snr_vs_b", ("b_tesla", "snr_power", "snr_amplitude"),
                        rows)

@@ -17,7 +17,7 @@ import numpy as np
 from . import optimize
 from .errors import ParameterError
 from .model import frequency_grid, omega_eff, thermal_occupation
-from .spectra import s_add, s_add_som
+from .spectra import s_add, s_add_som, spectrum_sweep
 
 # rad/s per model frequency unit for the reference hardware
 # (10.56 MHz oscillator); used whenever a temperature enters.
@@ -32,13 +32,11 @@ class MagnetometerConfig:
     probe_size: float     # m
     field: float          # T
     temperature: float    # K
-    conversion: float     # model units per (A*m*T)
     convention: str = "power"
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.current, self.probe_size,
-                                       self.field, self.temperature,
-                                       self.conversion))):
+                                       self.field, self.temperature))):
             raise ParameterError("magnetometer parameters must be finite")
         if self.current <= 0:
             raise ParameterError("current must be positive")
@@ -48,8 +46,6 @@ class MagnetometerConfig:
             raise ParameterError("field must be positive")
         if self.temperature < 0:
             raise ParameterError("temperature must be non-negative")
-        if self.conversion <= 0:
-            raise ParameterError("conversion must be positive")
         _check_convention(self.convention)
 
 
@@ -62,7 +58,7 @@ class SensingReport:
     slope: float
     convention: str
     eta: float
-    params: object
+    noise: float          # S_add of the thermalized detector at omega_eff
 
 
 def response_coefficient(current, probe_size):
@@ -77,46 +73,14 @@ def _check_convention(convention):
         raise ParameterError("convention must be power or amplitude")
 
 
-def snr(params, omega, xi_normalized, b_field, convention="power"):
-    """Signal-to-noise of the homodyne output at one frequency.
-
-    ``xi_normalized`` is eta*xi, already in model units per tesla.
-    """
+def snr(noise, signal, convention):
+    """Signal-to-noise of the homodyne output with additional noise
+    ``noise`` (S_add) and signal amplitude ``signal`` = eta*xi*B, in model
+    units."""
     _check_convention(convention)
-    noise = s_add(params, omega).s_add
-    sig = xi_normalized * b_field
     if convention == "power":
-        return sig ** 2 / noise
-    return sig / math.sqrt(noise)
-
-
-def calibrate_conversion(params, xi, anchor, convention="power"):
-    """Solve for eta so that snr at the anchor reproduces the anchor target.
-
-    ``anchor`` maps {"b_field", "snr_target", "omega"}.
-    """
-    _check_convention(convention)
-    b = anchor["b_field"]
-    target = anchor["snr_target"]
-    w = anchor["omega"]
-    if target <= 0 or b <= 0 or xi <= 0:
-        raise ParameterError("anchor field, target and xi must be positive")
-    noise = s_add(params, w).s_add
-    if convention == "power":
-        return math.sqrt(target * noise) / (xi * b)
-    return target * math.sqrt(noise) / (xi * b)
-
-
-def detection_accuracy(params, xi_normalized, convention="power"):
-    """Field strength at which the SNR reaches one at the upper normal mode,
-    under either convention."""
-    _check_convention(convention)
-    if xi_normalized <= 0:
-        raise ParameterError("xi_normalized must be positive")
-    noise = s_add(params, omega_eff(params.omega_m1, params.v_coupling)).s_add
-    # SNR = 1 inverts to the same closed form under both conventions;
-    # the convention still matters because it fixes the calibrated xi.
-    return math.sqrt(noise) / xi_normalized
+        return signal ** 2 / noise
+    return signal / math.sqrt(noise)
 
 
 def _thermalized(params, temperature, rate_scale):
@@ -141,7 +105,7 @@ def som_noise_floor(params):
     return fx
 
 
-def s_r(params, temperature, rate_scale=DEFAULT_RATE_SCALE):
+def s_r(params, temperature, rate_scale):
     """SNR enhancement over the single-oscillator baseline.
 
     Dual-probe SNR is taken at the upper normal mode; the baseline is the
@@ -155,16 +119,14 @@ def s_r(params, temperature, rate_scale=DEFAULT_RATE_SCALE):
     return som_noise_floor(pt) / dual
 
 
-def snr_linearity(params, xi_normalized, b_values, convention="power"):
-    """Least-squares slope of log SNR against log B; returns (slope, max residual)."""
-    _check_convention(convention)
+def _loglog_fit(noise, xi_normalized, b_values, convention):
+    """(slope, max residual) of log SNR against log B at noise S_add."""
     if len(b_values) < 3:
         raise ParameterError("need at least 3 field values")
     if any(b <= 0 for b in b_values):
         raise ParameterError("field values must be positive")
-    w = omega_eff(params.omega_m1, params.v_coupling)
     logb = np.log10(np.asarray(b_values, dtype=float))
-    snrs = [snr(params, w, xi_normalized, b, convention) for b in b_values]
+    snrs = [snr(noise, xi_normalized * b, convention) for b in b_values]
     if not (np.all(np.isfinite(logb))
             and all(0 < s < math.inf for s in snrs)):
         raise ParameterError("log SNR against log B is not finite")
@@ -174,29 +136,45 @@ def snr_linearity(params, xi_normalized, b_values, convention="power"):
     return float(slope), float(resid)
 
 
-def make_report(params, config, anchor_snr, rate_scale=DEFAULT_RATE_SCALE):
+def snr_linearity(params, xi_normalized, b_values, convention):
+    """Least-squares slope of log SNR against log B at the upper normal
+    mode; returns (slope, max residual)."""
+    w = omega_eff(params.omega_m1, params.v_coupling)
+    return _loglog_fit(s_add(params, w).s_add, xi_normalized, b_values,
+                       convention)
+
+
+def make_report(params, config, anchor_snr, rate_scale):
     """Assemble the labeled sensing summary for one magnetometer setup.
 
+    eta is set so that the SNR at the upper normal mode and config.field
+    equals anchor_snr; b_min is the field at which that SNR falls to one.
     The SNR spectrum runs over 0.9 to 1.2 omega_m1, refined at omega_m1 and
     the upper normal mode; the log-log slope over field/100 to field*10.
     """
     xi = response_coefficient(config.current, config.probe_size)
+    if not anchor_snr > 0:
+        raise ParameterError("anchor_snr must be positive")
+    conv, field = config.convention, config.field
     pt = _thermalized(params, config.temperature, rate_scale)
     w_eff = omega_eff(pt.omega_m1, pt.v_coupling)
-    eta = calibrate_conversion(
-        pt, xi, {"b_field": config.field, "snr_target": anchor_snr,
-                 "omega": w_eff},
-        convention=config.convention)
+    noise = s_add(pt, w_eff).s_add
+    if conv == "power":
+        eta = math.sqrt(anchor_snr * noise) / (xi * field)
+    else:
+        eta = anchor_snr * math.sqrt(noise) / (xi * field)
     xin = eta * xi
-    b_values = tuple(np.geomspace(config.field / 100.0, config.field * 10.0, 7))
-    omega_grid = frequency_grid([pt.omega_m1, w_eff], pt.gamma1,
-                                (0.9 * pt.omega_m1, 1.2 * pt.omega_m1), 101)
-    snrs = tuple(snr(pt, w, xin, config.field, config.convention)
-                 for w in omega_grid)
-    slope, _ = snr_linearity(pt, xin, b_values, config.convention)
+    b_values = tuple(np.geomspace(field / 100.0, field * 10.0, 7))
+    spec = spectrum_sweep(pt, frequency_grid(
+        [pt.omega_m1, w_eff], pt.gamma1,
+        (0.9 * pt.omega_m1, 1.2 * pt.omega_m1), 101))
+    slope, _ = _loglog_fit(noise, xin, b_values, conv)
     return SensingReport(
-        snr_at_omega_eff=snr(pt, w_eff, xin, config.field, config.convention),
-        snr_omegas=tuple(float(w) for w in omega_grid),
-        snr_values=snrs,
-        b_min=detection_accuracy(pt, xin, config.convention),
-        slope=slope, convention=config.convention, eta=eta, params=pt)
+        snr_at_omega_eff=snr(noise, xin * field, conv),
+        snr_omegas=tuple(spec.omega.tolist()),
+        snr_values=tuple(snr(s, xin * field, conv)
+                         for s in spec.s_add.tolist()),
+        # SNR = 1 inverts to the same closed form under both conventions;
+        # the convention enters through the calibrated eta
+        b_min=math.sqrt(noise) / xin,
+        slope=slope, convention=conv, eta=eta, noise=noise)

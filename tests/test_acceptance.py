@@ -181,7 +181,7 @@ def test_criterion_09_magnetometer_soft():
     for conv in ("power", "amplitude"):
         cfg = MagnetometerConfig(current=10e-6, probe_size=15e-6,
                                  field=1e-13, temperature=1e-3,
-                                 conversion=1.0, convention=conv)
+                                 convention=conv)
         reports[conv] = make_report(p, cfg, 1.7e6, rate_scale=W_SI)
     b_amp = reports["amplitude"].b_min
     b_pow = reports["power"].b_min

@@ -10,6 +10,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omdp_sense import cli
 from omdp_sense.cli import SCHEMA, main, resolve_table, load_config_file
 from omdp_sense.errors import UsageError
 
@@ -192,6 +193,52 @@ class TestExitCodes:
         assert sorted(os.listdir(tmp_path)) == [
             "s_r_vs_temperature.csv", "s_r_vs_temperature.csv.manifest.json",
             "s_r_vs_v.csv", "s_r_vs_v.csv.manifest.json"]
+
+    @pytest.mark.parametrize("setting", ["anchor_snr=0", "anchor_snr=-1"])
+    def test_non_positive_anchor_is_one(self, tmp_path, capsys, setting):
+        # the anchor is checked by the calibration, after the s_r tables
+        rc = main(["snr", "--set", setting, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == [
+            "s_r_vs_temperature.csv", "s_r_vs_temperature.csv.manifest.json",
+            "s_r_vs_v.csv", "s_r_vs_v.csv.manifest.json"]
+
+    @pytest.mark.parametrize("argv, rows, keys", [
+        (["spectrum", "--set", "base_points=1000000"], 4000000,
+         ("v_list", "base_points")),
+        (["spectrum", "--set", "v_list=0.2", "--set", "base_points=500001"],
+         1000002, ("v_list", "base_points")),
+        (["sql-map", "--set", "omega_points=1001", "--set", "v_points=1000"],
+         1001000, ("omega_points", "v_points"))])
+    def test_oversized_table_is_two(self, tmp_path, capsys, monkeypatch,
+                                    argv, rows, keys):
+        def unreachable(*args):
+            raise AssertionError("solve started for an oversized table")
+        monkeypatch.setattr(cli, "r_map", unreachable)
+        monkeypatch.setattr(cli, "spectrum_sweep", unreachable)
+        rc = main(argv + ["--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert str(rows) in err and all(k in err for k in keys)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--set", "v_list=0.2", "--set", "base_points=500000"],
+        ["sql-map", "--set", "omega_points=1000", "--set", "v_points=1000"]])
+    def test_table_of_max_count_rows_is_solved(self, tmp_path, monkeypatch,
+                                               argv):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+        monkeypatch.setattr(cli, "r_map", reached)
+        monkeypatch.setattr(cli, "spectrum_sweep", reached)
+        with pytest.raises(Reached):
+            main(argv + ["--out", str(tmp_path)])
 
     def test_clean_run_is_zero(self, tmp_path):
         rc = main(["sweep", "--set", "panel=b", "--set", "points=5",

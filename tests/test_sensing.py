@@ -1,11 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from omdp_sense import (DetectorParams, MagnetometerConfig, ParameterError,
-                        calibrate_conversion, detection_accuracy, make_report,
-                        occupation_temperature, omega_eff,
+                        make_report, occupation_temperature, omega_eff,
                         response_coefficient, s_add, s_r, snr, snr_linearity,
                         thermal_occupation)
 
@@ -25,8 +25,7 @@ def params(**kw):
 
 def config(convention):
     return MagnetometerConfig(current=10e-6, probe_size=15e-6, field=ANCHOR_B,
-                              temperature=1e-3, conversion=1.0,
-                              convention=convention)
+                              temperature=1e-3, convention=convention)
 
 
 class TestResponseCoefficient:
@@ -45,24 +44,20 @@ class TestSnr:
         return params(nth1=occ, nth2=occ)
 
     def test_power_form(self):
-        p = self.thermal_params()
-        w = omega_eff(1.0, 0.2)
-        s = s_add(p, w).s_add
+        s = s_add(self.thermal_params(), omega_eff(1.0, 0.2)).s_add
         xin = 2.5e3
-        got = snr(p, w, xin, ANCHOR_B, "power")
+        got = snr(s, xin * ANCHOR_B, "power")
         assert got == pytest.approx((xin * ANCHOR_B) ** 2 / s, rel=1e-12)
 
     def test_amplitude_form(self):
-        p = self.thermal_params()
-        w = omega_eff(1.0, 0.2)
-        s = s_add(p, w).s_add
+        s = s_add(self.thermal_params(), omega_eff(1.0, 0.2)).s_add
         xin = 2.5e3
-        got = snr(p, w, xin, ANCHOR_B, "amplitude")
+        got = snr(s, xin * ANCHOR_B, "amplitude")
         assert got == pytest.approx(xin * ANCHOR_B / math.sqrt(s), rel=1e-12)
 
     def test_unknown_convention_rejected(self):
         with pytest.raises(ParameterError):
-            snr(self.thermal_params(), 1.0, 1.0, 1e-13, "decibel")
+            snr(1.0, 1e-13, "decibel")
 
     def test_slopes_are_exact(self):
         p = self.thermal_params()
@@ -81,16 +76,6 @@ class TestCalibration:
                               rate_scale=W_SI)
             assert rep.snr_at_omega_eff == pytest.approx(ANCHOR_SNR, rel=1e-9)
             assert rep.convention == conv
-
-    def test_closed_form_inverse(self):
-        occ = thermal_occupation(W_SI, 1e-3)
-        p = params(nth1=occ, nth2=occ)
-        w = omega_eff(1.0, 0.2)
-        eta = calibrate_conversion(
-            p, XI, {"b_field": ANCHOR_B, "snr_target": ANCHOR_SNR, "omega": w},
-            convention="power")
-        assert snr(p, w, eta * XI, ANCHOR_B, "power") == pytest.approx(
-            ANCHOR_SNR, rel=1e-12)
 
     def test_conventions_differ_by_root_of_anchor(self):
         rp = make_report(params(), config("power"), ANCHOR_SNR,
@@ -113,9 +98,7 @@ class TestDetectionAccuracy:
     def test_unit_snr_at_reported_field(self):
         rep = make_report(params(), config("amplitude"), ANCHOR_SNR,
                           rate_scale=W_SI)
-        p = rep.params
-        got = snr(p, omega_eff(1.0, 0.2), rep.eta * XI, rep.b_min,
-                  "amplitude")
+        got = snr(rep.noise, rep.eta * XI * rep.b_min, "amplitude")
         assert got == pytest.approx(1.0, rel=1e-9)
 
     def test_same_field_for_fixed_transduction(self):
@@ -123,10 +106,10 @@ class TestDetectionAccuracy:
         # unit-snr condition to the same field; calibration is what
         # separates them
         occ = thermal_occupation(W_SI, 1e-3)
-        p = params(nth1=occ, nth2=occ)
-        a = detection_accuracy(p, 1e3, "power")
-        b = detection_accuracy(p, 1e3, "amplitude")
-        assert a == pytest.approx(b, rel=1e-12)
+        s = s_add(params(nth1=occ, nth2=occ), omega_eff(1.0, 0.2)).s_add
+        b = math.sqrt(s) / 1e3
+        assert snr(s, 1e3 * b, "power") == pytest.approx(1.0, rel=1e-12)
+        assert snr(s, 1e3 * b, "amplitude") == pytest.approx(1.0, rel=1e-12)
 
 
 class TestEnhancementFactor:
@@ -157,9 +140,31 @@ class TestReport:
         assert rep.convention == "amplitude"
         assert rep.eta > 0
         assert len(rep.snr_omegas) == len(rep.snr_values)
-        assert rep.params.nth1 == pytest.approx(
-            thermal_occupation(W_SI, 1e-3), rel=1e-12)
+        occ = thermal_occupation(W_SI, 1e-3)
+        assert rep.noise == pytest.approx(
+            s_add(params(nth1=occ, nth2=occ), omega_eff(1.0, 0.2)).s_add,
+            rel=1e-12)
         assert rep.slope == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("kw", [
+        {}, dict(delta_prime=1.013, kappa=0.097, g_lin=0.0304,
+                 omega_m2=1.02, gamma2=2.0 * GAMMA, v_coupling=0.17)])
+    def test_one_noise_value_route(self, kw):
+        # the report's spectrum and anchor numbers equal, bit for bit, the
+        # snr formula on s_add at each point of the thermalized detector
+        p = params(**kw)
+        pt = replace(p, nth1=thermal_occupation(p.omega_m1 * W_SI, 1e-3),
+                     nth2=thermal_occupation(p.omega_m2 * W_SI, 1e-3))
+        w_eff = omega_eff(pt.omega_m1, pt.v_coupling)
+        xi = response_coefficient(10e-6, 15e-6)
+        for conv in ("power", "amplitude"):
+            rep = make_report(p, config(conv), ANCHOR_SNR, rate_scale=W_SI)
+            assert rep.noise == s_add(pt, w_eff).s_add
+            signal = rep.eta * xi * ANCHOR_B
+            assert rep.snr_values == tuple(
+                snr(s_add(pt, w).s_add, signal, conv)
+                for w in rep.snr_omegas)
+            assert rep.snr_at_omega_eff == snr(rep.noise, signal, conv)
 
     def test_spectrum_peaks_near_effective_frequency(self):
         rep = make_report(params(), config("power"), ANCHOR_SNR,
@@ -172,12 +177,11 @@ class TestMagnetometerConfig:
     def test_rejects_bad_convention(self):
         with pytest.raises(ParameterError):
             MagnetometerConfig(current=10e-6, probe_size=15e-6, field=1e-13,
-                               temperature=1e-3, conversion=1.0,
-                               convention="rms")
+                               temperature=1e-3, convention="rms")
 
     def test_rejects_non_finite(self):
         good = dict(current=10e-6, probe_size=15e-6, field=1e-13,
-                    temperature=1e-3, conversion=1.0)
+                    temperature=1e-3)
         for key in good:
             for bad in (math.nan, math.inf):
                 with pytest.raises(ParameterError, match="finite"):
@@ -186,5 +190,4 @@ class TestMagnetometerConfig:
     def test_rejects_negative_temperature(self):
         with pytest.raises(ParameterError):
             MagnetometerConfig(current=10e-6, probe_size=15e-6, field=1e-13,
-                               temperature=-1.0, conversion=1.0,
-                               convention="power")
+                               temperature=-1.0, convention="power")
