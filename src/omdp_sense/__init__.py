@@ -25,7 +25,7 @@ from .sql import (GMinAnalytic, GMinNumeric, RMap, SweepResult,
                   minimize_over_g_analytic, minimize_over_g_numeric, r_factors,
                   r_map, s_min_sweep, som_sql)
 from .sensing import (MagnetometerConfig, SensingReport, make_report,
-                      response_coefficient, s_r, snr, snr_linearity)
+                      response_coefficient, s_r, snr)
 
 __all__ = [
     "__version__",
@@ -41,5 +41,5 @@ __all__ = [
     "default_g_range", "fit_shot_backaction", "minimize_over_g_analytic",
     "minimize_over_g_numeric", "r_factors", "r_map", "s_min_sweep", "som_sql",
     "MagnetometerConfig", "SensingReport", "make_report",
-    "response_coefficient", "s_r", "snr", "snr_linearity",
+    "response_coefficient", "s_r", "snr",
 ]

@@ -85,9 +85,9 @@ SCHEMA = {
         # gamma: 2*pi*32 Hz on the 10.56 MHz oscillator
         _DETECTOR, gamma=(32.0 / 10.56e6, "rate"),
         v=(0.2, "rate"), omega_m_si=(DEFAULT_RATE_SCALE, "positive"),
-        temperature=(1e-3, "real"), current=(10e-6, "real"),
-        probe_size=(15e-6, "real"), field=(1e-13, "real"),
-        anchor_snr=(1.7e6, "real"),
+        temperature=(1e-3, "real"), current=(10e-6, "positive"),
+        probe_size=(15e-6, "positive"), field=(1e-13, "positive"),
+        anchor_snr=(1.7e6, "positive"),
         v_lo=(0.02, "rate"), v_hi=(0.4, "rate"), v_points=(20, "count"),
         t_lo=(1e-4, "positive"), t_hi=(300.0, "positive"),
         t_points=(25, "count"),
@@ -309,6 +309,12 @@ class Emitter:
     def json_file(self, stem, payload):
         return self._json(stem + ".json", payload)
 
+    def discard(self):
+        """Remove every data file and manifest this run has written."""
+        for path in self.files:
+            os.remove(path)
+            os.remove(path + ".manifest.json")
+
 
 def _check_rows(table, rows, keys):
     """Refuse, before any solve, a table of more than MAX_COUNT rows."""
@@ -406,6 +412,13 @@ def cmd_snr(config, emitter):
     rate_scale, temperature = t["omega_m_si"], t["temperature"]
     base = _detector(t, t["v"], 0.0)
 
+    # calibrated magnetometer reports under both conventions, made before
+    # the first table so a bad magnetometer input writes nothing
+    reports = make_report(base, MagnetometerConfig(
+        current=t["current"], probe_size=t["probe_size"], field=t["field"],
+        temperature=temperature), t["anchor_snr"], rate_scale)
+    rp, ra = reports["power"], reports["amplitude"]
+
     # enhancement against coupling and against temperature
     vs = np.linspace(t["v_lo"], t["v_hi"], t["v_points"])
     rows = [(float(v), s_r(replace(base, v_coupling=float(v)), temperature,
@@ -417,16 +430,6 @@ def cmd_snr(config, emitter):
     rows = [(float(tk), s_r(base, float(tk), rate_scale)) for tk in temps]
     emitter.table_file("s_r_vs_temperature", ("temperature_k", "s_r"), rows)
 
-    # calibrated magnetometer tables under both conventions
-    reports = {}
-    for conv in ("power", "amplitude"):
-        cfg = MagnetometerConfig(
-            current=t["current"], probe_size=t["probe_size"],
-            field=t["field"], temperature=temperature, convention=conv)
-        reports[conv] = make_report(base, cfg, t["anchor_snr"],
-                                    rate_scale=rate_scale)
-
-    rp, ra = reports["power"], reports["amplitude"]
     rows = [(w, sp, sa) for w, sp, sa in
             zip(rp.snr_omegas, rp.snr_values, ra.snr_values)]
     emitter.table_file("snr_spectrum",
@@ -441,18 +444,15 @@ def cmd_snr(config, emitter):
     emitter.table_file("snr_vs_b", ("b_tesla", "snr_power", "snr_amplitude"),
                        rows)
 
-    emitter.json_file("accuracy", {
-        "power": {"eta": rp.eta, "b_min_tesla": rp.b_min,
-                  "snr_at_anchor": rp.snr_at_omega_eff,
-                  "loglog_slope": rp.slope},
-        "amplitude": {"eta": ra.eta, "b_min_tesla": ra.b_min,
-                      "snr_at_anchor": ra.snr_at_omega_eff,
-                      "loglog_slope": ra.slope},
-        "convention_note": (
-            "the two conventions disagree about absolute accuracy by "
-            "sqrt(anchor snr); both are reported, labeled"),
-        "b_min_ratio_power_over_amplitude": rp.b_min / ra.b_min,
-    })
+    accuracy = {conv: {"eta": r.eta, "b_min_tesla": r.b_min,
+                       "snr_at_anchor": r.snr_at_omega_eff,
+                       "loglog_slope": r.slope}
+                for conv, r in reports.items()}
+    accuracy["convention_note"] = (
+        "the two conventions disagree about absolute accuracy by "
+        "sqrt(anchor snr); both are reported, labeled")
+    accuracy["b_min_ratio_power_over_amplitude"] = rp.b_min / ra.b_min
+    emitter.json_file("accuracy", accuracy)
 
 
 def _random_params(rng):
@@ -597,6 +597,7 @@ def main(argv=None):
         p.add_argument("--format", default="csv", choices=("csv", "json"))
     args = parser.parse_args(argv)
 
+    emitter = None
     try:
         table = resolve_table(args.subcommand, args.config, args.set)
         config = RunConfig(subcommand=args.subcommand, table=table,
@@ -616,15 +617,17 @@ def main(argv=None):
         for path in emitter.files:
             print(path)
         return int(rc) if rc else 0
-    except UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return 2
-    except OmdpError as exc:
+    except (OmdpError, ArithmeticError) as exc:
+        # an error exit leaves no file from its run
+        if emitter is not None:
+            emitter.discard()
+        if isinstance(exc, UsageError):
+            print("usage error: %s" % exc, file=sys.stderr)
+            return 2
+        if isinstance(exc, ArithmeticError):
+            # an overflow or a zero divisor deep in the model
+            exc = "%s: %s" % (type(exc).__name__, exc)
         print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except ArithmeticError as exc:
-        # an overflow or a zero divisor deep in the model
-        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1
 
 

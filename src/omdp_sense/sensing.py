@@ -4,9 +4,9 @@ The response constant xi = I*L lives in A*m while the model runs in
 normalized force units, so a single conversion eta (model units per A*m*T)
 is calibrated once against a known operating point. Two SNR conventions are
 carried side by side, power (signal^2 / S_add) and amplitude
-(signal / sqrt(S_add)), and every reported number is labeled with its
-convention because the two disagree about absolute accuracy by the square
-root of the SNR scale.
+(signal / sqrt(S_add)), because the two disagree about absolute accuracy by
+the square root of the SNR scale. make_report solves the detector once and
+returns one calibrated report per convention, keyed by its name.
 """
 
 import math
@@ -32,7 +32,6 @@ class MagnetometerConfig:
     probe_size: float     # m
     field: float          # T
     temperature: float    # K
-    convention: str = "power"
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.current, self.probe_size,
@@ -46,7 +45,6 @@ class MagnetometerConfig:
             raise ParameterError("field must be positive")
         if self.temperature < 0:
             raise ParameterError("temperature must be non-negative")
-        _check_convention(self.convention)
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,6 @@ class SensingReport:
     snr_values: tuple
     b_min: float
     slope: float
-    convention: str
     eta: float
     noise: float          # S_add of the thermalized detector at omega_eff
 
@@ -68,16 +65,12 @@ def response_coefficient(current, probe_size):
     return current * probe_size
 
 
-def _check_convention(convention):
-    if convention not in CONVENTIONS:
-        raise ParameterError("convention must be power or amplitude")
-
-
 def snr(noise, signal, convention):
     """Signal-to-noise of the homodyne output with additional noise
     ``noise`` (S_add) and signal amplitude ``signal`` = eta*xi*B, in model
     units."""
-    _check_convention(convention)
+    if convention not in CONVENTIONS:
+        raise ParameterError("convention must be power or amplitude")
     if convention == "power":
         return signal ** 2 / noise
     return signal / math.sqrt(noise)
@@ -120,33 +113,21 @@ def s_r(params, temperature, rate_scale):
 
 
 def _loglog_fit(noise, xi_normalized, b_values, convention):
-    """(slope, max residual) of log SNR against log B at noise S_add."""
-    if len(b_values) < 3:
-        raise ParameterError("need at least 3 field values")
-    if any(b <= 0 for b in b_values):
-        raise ParameterError("field values must be positive")
-    logb = np.log10(np.asarray(b_values, dtype=float))
+    """Least-squares slope of log SNR against log B at noise S_add."""
     snrs = [snr(noise, xi_normalized * b, convention) for b in b_values]
-    if not (np.all(np.isfinite(logb))
-            and all(0 < s < math.inf for s in snrs)):
+    if not all(0 < s < math.inf for s in snrs):
         raise ParameterError("log SNR against log B is not finite")
+    logb = np.log10(np.asarray(b_values, dtype=float))
     logs = np.array([math.log10(s) for s in snrs])
-    slope, intercept = np.polyfit(logb, logs, 1)
-    resid = np.max(np.abs(logs - (slope * logb + intercept)))
-    return float(slope), float(resid)
-
-
-def snr_linearity(params, xi_normalized, b_values, convention):
-    """Least-squares slope of log SNR against log B at the upper normal
-    mode; returns (slope, max residual)."""
-    w = omega_eff(params.omega_m1, params.v_coupling)
-    return _loglog_fit(s_add(params, w).s_add, xi_normalized, b_values,
-                       convention)
+    return float(np.polyfit(logb, logs, 1)[0])
 
 
 def make_report(params, config, anchor_snr, rate_scale):
-    """Assemble the labeled sensing summary for one magnetometer setup.
+    """The calibrated sensing summary for one magnetometer setup, as
+    {convention: SensingReport} in CONVENTIONS order.
 
+    The thermalized detector is solved once at the upper normal mode and
+    once over the spectrum grid; every convention reads those two solves.
     eta is set so that the SNR at the upper normal mode and config.field
     equals anchor_snr; b_min is the field at which that SNR falls to one.
     The SNR spectrum runs over 0.9 to 1.2 omega_m1, refined at omega_m1 and
@@ -155,26 +136,31 @@ def make_report(params, config, anchor_snr, rate_scale):
     xi = response_coefficient(config.current, config.probe_size)
     if not anchor_snr > 0:
         raise ParameterError("anchor_snr must be positive")
-    conv, field = config.convention, config.field
+    field = config.field
     pt = _thermalized(params, config.temperature, rate_scale)
     w_eff = omega_eff(pt.omega_m1, pt.v_coupling)
     noise = s_add(pt, w_eff).s_add
-    if conv == "power":
-        eta = math.sqrt(anchor_snr * noise) / (xi * field)
-    else:
-        eta = anchor_snr * math.sqrt(noise) / (xi * field)
-    xin = eta * xi
-    b_values = tuple(np.geomspace(field / 100.0, field * 10.0, 7))
+    etas = {"power": math.sqrt(anchor_snr * noise) / (xi * field),
+            "amplitude": anchor_snr * math.sqrt(noise) / (xi * field)}
+    b_lo, b_hi = field / 100.0, field * 10.0
+    if not 0 < b_lo < b_hi < math.inf:
+        raise ParameterError("field/100 to field*10 is not finite and "
+                             "positive")
+    b_values = tuple(np.geomspace(b_lo, b_hi, 7))
     spec = spectrum_sweep(pt, frequency_grid(
         [pt.omega_m1, w_eff], pt.gamma1,
         (0.9 * pt.omega_m1, 1.2 * pt.omega_m1), 101))
-    slope, _ = _loglog_fit(noise, xin, b_values, conv)
-    return SensingReport(
-        snr_at_omega_eff=snr(noise, xin * field, conv),
-        snr_omegas=tuple(spec.omega.tolist()),
-        snr_values=tuple(snr(s, xin * field, conv)
-                         for s in spec.s_add.tolist()),
-        # SNR = 1 inverts to the same closed form under both conventions;
-        # the convention enters through the calibrated eta
-        b_min=math.sqrt(noise) / xin,
-        slope=slope, convention=conv, eta=eta, noise=noise)
+    omegas, spec_noise = tuple(spec.omega.tolist()), spec.s_add.tolist()
+    reports = {}
+    for conv, eta in etas.items():
+        xin = eta * xi
+        reports[conv] = SensingReport(
+            snr_at_omega_eff=snr(noise, xin * field, conv),
+            snr_omegas=omegas,
+            snr_values=tuple(snr(s, xin * field, conv) for s in spec_noise),
+            # SNR = 1 inverts to the same closed form under both
+            # conventions; the convention enters through the calibrated eta
+            b_min=math.sqrt(noise) / xin,
+            slope=_loglog_fit(noise, xin, b_values, conv),
+            eta=eta, noise=noise)
+    return reports

@@ -19,8 +19,7 @@ from omdp_sense import (DetectorParams, closed_form_coefficients,
                         default_g_range, frequency_grid,
                         minimize_over_g_analytic, minimize_over_g_numeric,
                         occupation_temperature, omega_eff, r_factors, s_add,
-                        s_add_som, s_min_sweep, s_r, snr_linearity,
-                        solve_coefficients, thermal_occupation,
+                        s_add_som, s_min_sweep, s_r, solve_coefficients,
                         MagnetometerConfig, make_report)
 from omdp_sense.cli import _random_params as random_valid, main as cli_main
 from omdp_sense.optimize import golden_min
@@ -177,18 +176,14 @@ def test_criterion_08_enhancement_limit():
 def test_criterion_09_magnetometer_soft():
     gam = 32.0 / 10.56e6
     p = reference(gamma1=gam, gamma2=gam)
-    reports = {}
-    for conv in ("power", "amplitude"):
-        cfg = MagnetometerConfig(current=10e-6, probe_size=15e-6,
-                                 field=1e-13, temperature=1e-3,
-                                 convention=conv)
-        reports[conv] = make_report(p, cfg, 1.7e6, rate_scale=W_SI)
+    cfg = MagnetometerConfig(current=10e-6, probe_size=15e-6, field=1e-13,
+                             temperature=1e-3)
+    reports = make_report(p, cfg, 1.7e6, rate_scale=W_SI)
     b_amp = reports["amplitude"].b_min
     b_pow = reports["power"].b_min
     anchor = 8.4e-20
     within_oom = anchor / 10.0 <= b_amp <= anchor * 10.0
-    labeled = (reports["amplitude"].convention == "amplitude"
-               and reports["power"].convention == "power")
+    labeled = set(reports) == {"power", "amplitude"}
     ok = within_oom and labeled
     report(9, ok, "amplitude b_min=%.4g (anchor %.2g, ratio %.2f); "
            "power convention residual: b_min=%.4g, %.0fx the anchor"
@@ -198,11 +193,12 @@ def test_criterion_09_magnetometer_soft():
 
 
 def test_criterion_10_linearity_invariant():
-    occ = thermal_occupation(W_SI, 1e-3)
-    p = reference(nth1=occ, nth2=occ)
-    bs = np.geomspace(1e-15, 1e-12, 7)
-    slope_p, _ = snr_linearity(p, 1e3, bs, "power")
-    slope_a, _ = snr_linearity(p, 1e3, bs, "amplitude")
+    # fields 1e-15 to 1e-12 T: field/100 to field*10 at field = 1e-13
+    cfg = MagnetometerConfig(current=10e-6, probe_size=15e-6, field=1e-13,
+                             temperature=1e-3)
+    reports = make_report(reference(), cfg, 1.7e6, rate_scale=W_SI)
+    slope_p = reports["power"].slope
+    slope_a = reports["amplitude"].slope
     ok = abs(slope_p - 2.0) <= 1e-9 and abs(slope_a - 1.0) <= 1e-9
     report(10, ok, "slopes %.12f (power) and %.12f (amplitude)"
            % (slope_p, slope_a))

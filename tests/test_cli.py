@@ -164,7 +164,12 @@ class TestExitCodes:
         ("sql-map", ["gamma=1e308"], "Overflow"),
         ("sql-map", ["delta_prime=-1e308"], "ZeroDivision"),
         ("sweep", ["gamma=1e308"], "NaN or inf"),
-        ("spectrum", ["gamma=1e308"], "NaN or inf")])
+        ("spectrum", ["gamma=1e308"], "NaN or inf"),
+        # snr_vs_b overflows after three tables are written
+        ("snr", ["b_hi=1e200"], "Overflow"),
+        # field/100 underflows to zero while xi * field does not
+        ("snr", ["current=1e10", "probe_size=1e10", "field=5e-324"],
+         "field/100")])
     def test_value_outside_domain_is_one(self, tmp_path, capsys, command,
                                          settings, word):
         argv = [command, "--out", str(tmp_path)]
@@ -174,7 +179,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and word in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
     def test_overflow_prints_no_numpy_warning(self, tmp_path, capsys):
@@ -186,24 +191,22 @@ class TestExitCodes:
         assert capsys.readouterr().err.count("\n") == 1
 
     def test_non_finite_table_leaves_no_file(self, tmp_path, capsys):
-        # snr writes two tables before the field overflows its own
+        # the field range overflows in the calibration, before any table
         rc = main(["snr", "--set", "field=1e308", "--out", str(tmp_path)])
         assert rc == 1
         assert "not finite" in capsys.readouterr().err
-        assert sorted(os.listdir(tmp_path)) == [
-            "s_r_vs_temperature.csv", "s_r_vs_temperature.csv.manifest.json",
-            "s_r_vs_v.csv", "s_r_vs_v.csv.manifest.json"]
+        assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("setting", ["anchor_snr=0", "anchor_snr=-1"])
+    @pytest.mark.parametrize("setting", [
+        "anchor_snr=0", "anchor_snr=-1", "current=0", "probe_size=0",
+        "field=0"])
     def test_non_positive_anchor_is_one(self, tmp_path, capsys, setting):
-        # the anchor is checked by the calibration, after the s_r tables
         rc = main(["snr", "--set", setting, "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and err.count("\n") == 1
-        assert sorted(os.listdir(tmp_path)) == [
-            "s_r_vs_temperature.csv", "s_r_vs_temperature.csv.manifest.json",
-            "s_r_vs_v.csv", "s_r_vs_v.csv.manifest.json"]
+        assert setting.split("=")[0] in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, rows, keys", [
         (["spectrum", "--set", "base_points=1000000"], 4000000,

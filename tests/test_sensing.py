@@ -6,8 +6,9 @@ import pytest
 
 from omdp_sense import (DetectorParams, MagnetometerConfig, ParameterError,
                         make_report, occupation_temperature, omega_eff,
-                        response_coefficient, s_add, s_r, snr, snr_linearity,
+                        response_coefficient, s_add, s_r, snr,
                         thermal_occupation)
+from omdp_sense import sensing
 
 W_SI = 2.0 * math.pi * 10.56e6
 GAMMA = 32.0 / 10.56e6        # 2*pi*32 Hz in mechanical-frequency units
@@ -23,9 +24,13 @@ def params(**kw):
     return DetectorParams(**d)
 
 
-def config(convention):
-    return MagnetometerConfig(current=10e-6, probe_size=15e-6, field=ANCHOR_B,
-                              temperature=1e-3, convention=convention)
+CONFIG = MagnetometerConfig(current=10e-6, probe_size=15e-6, field=ANCHOR_B,
+                            temperature=1e-3)
+
+
+def reports(p=None):
+    return make_report(params() if p is None else p, CONFIG, ANCHOR_SNR,
+                       rate_scale=W_SI)
 
 
 class TestResponseCoefficient:
@@ -60,44 +65,43 @@ class TestSnr:
             snr(1.0, 1e-13, "decibel")
 
     def test_slopes_are_exact(self):
-        p = self.thermal_params()
-        bs = np.geomspace(1e-15, 1e-12, 7)
-        slope_p, resid_p = snr_linearity(p, 1e3, bs, "power")
-        slope_a, resid_a = snr_linearity(p, 1e3, bs, "amplitude")
-        assert slope_p == pytest.approx(2.0, abs=1e-9)
-        assert slope_a == pytest.approx(1.0, abs=1e-9)
-        assert resid_p < 1e-9 and resid_a < 1e-9
+        reps = reports()
+        assert reps["power"].slope == pytest.approx(2.0, abs=1e-9)
+        assert reps["amplitude"].slope == pytest.approx(1.0, abs=1e-9)
+        # SNR against field is a straight line in log-log: the least-squares
+        # residual over the report's field range stays at rounding
+        bs = np.geomspace(ANCHOR_B / 100.0, ANCHOR_B * 10.0, 7)
+        for conv, rep in reps.items():
+            logs = np.log10([snr(rep.noise, rep.eta * XI * b, conv)
+                             for b in bs])
+            slope, icpt = np.polyfit(np.log10(bs), logs, 1)
+            resid = np.max(np.abs(logs - (slope * np.log10(bs) + icpt)))
+            assert resid < 1e-9
 
 
 class TestCalibration:
     def test_anchor_is_honored(self):
-        for conv in ("power", "amplitude"):
-            rep = make_report(params(), config(conv), ANCHOR_SNR,
-                              rate_scale=W_SI)
+        reps = reports()
+        assert list(reps) == ["power", "amplitude"]
+        for rep in reps.values():
             assert rep.snr_at_omega_eff == pytest.approx(ANCHOR_SNR, rel=1e-9)
-            assert rep.convention == conv
 
     def test_conventions_differ_by_root_of_anchor(self):
-        rp = make_report(params(), config("power"), ANCHOR_SNR,
-                         rate_scale=W_SI)
-        ra = make_report(params(), config("amplitude"), ANCHOR_SNR,
-                         rate_scale=W_SI)
+        reps = reports()
+        rp, ra = reps["power"], reps["amplitude"]
         assert rp.b_min / ra.b_min == pytest.approx(
             math.sqrt(ANCHOR_SNR), rel=1e-9)
 
 
 class TestDetectionAccuracy:
     def test_frozen_values(self):
-        rp = make_report(params(), config("power"), ANCHOR_SNR,
-                         rate_scale=W_SI)
-        ra = make_report(params(), config("amplitude"), ANCHOR_SNR,
-                         rate_scale=W_SI)
+        reps = reports()
+        rp, ra = reps["power"], reps["amplitude"]
         assert rp.b_min == pytest.approx(7.669649888473706e-17, rel=1e-9)
         assert ra.b_min == pytest.approx(5.882352941176472e-20, rel=1e-9)
 
     def test_unit_snr_at_reported_field(self):
-        rep = make_report(params(), config("amplitude"), ANCHOR_SNR,
-                          rate_scale=W_SI)
+        rep = reports()["amplitude"]
         got = snr(rep.noise, rep.eta * XI * rep.b_min, "amplitude")
         assert got == pytest.approx(1.0, rel=1e-9)
 
@@ -135,9 +139,7 @@ class TestEnhancementFactor:
 
 class TestReport:
     def test_fields_are_coherent(self):
-        rep = make_report(params(), config("amplitude"), ANCHOR_SNR,
-                          rate_scale=W_SI)
-        assert rep.convention == "amplitude"
+        rep = reports()["amplitude"]
         assert rep.eta > 0
         assert len(rep.snr_omegas) == len(rep.snr_values)
         occ = thermal_occupation(W_SI, 1e-3)
@@ -157,8 +159,7 @@ class TestReport:
                      nth2=thermal_occupation(p.omega_m2 * W_SI, 1e-3))
         w_eff = omega_eff(pt.omega_m1, pt.v_coupling)
         xi = response_coefficient(10e-6, 15e-6)
-        for conv in ("power", "amplitude"):
-            rep = make_report(p, config(conv), ANCHOR_SNR, rate_scale=W_SI)
+        for conv, rep in reports(p).items():
             assert rep.noise == s_add(pt, w_eff).s_add
             signal = rep.eta * xi * ANCHOR_B
             assert rep.snr_values == tuple(
@@ -166,19 +167,31 @@ class TestReport:
                 for w in rep.snr_omegas)
             assert rep.snr_at_omega_eff == snr(rep.noise, signal, conv)
 
+    def test_one_solve_serves_both_conventions(self, monkeypatch):
+        calls = {"s_add": 0, "spectrum_sweep": 0}
+
+        def counted(name):
+            inner = getattr(sensing, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            return wrapper
+        for name in calls:
+            monkeypatch.setattr(sensing, name, counted(name))
+        reps = reports()
+        assert calls == {"s_add": 1, "spectrum_sweep": 1}
+        rp, ra = reps["power"], reps["amplitude"]
+        assert rp.noise == ra.noise
+        assert rp.snr_omegas is ra.snr_omegas
+
     def test_spectrum_peaks_near_effective_frequency(self):
-        rep = make_report(params(), config("power"), ANCHOR_SNR,
-                          rate_scale=W_SI)
+        rep = reports()["power"]
         w_best = rep.snr_omegas[int(np.argmax(rep.snr_values))]
         assert abs(w_best - omega_eff(1.0, 0.2)) / omega_eff(1.0, 0.2) < 0.01
 
 
 class TestMagnetometerConfig:
-    def test_rejects_bad_convention(self):
-        with pytest.raises(ParameterError):
-            MagnetometerConfig(current=10e-6, probe_size=15e-6, field=1e-13,
-                               temperature=1e-3, convention="rms")
-
     def test_rejects_non_finite(self):
         good = dict(current=10e-6, probe_size=15e-6, field=1e-13,
                     temperature=1e-3)
@@ -190,4 +203,4 @@ class TestMagnetometerConfig:
     def test_rejects_negative_temperature(self):
         with pytest.raises(ParameterError):
             MagnetometerConfig(current=10e-6, probe_size=15e-6, field=1e-13,
-                               temperature=-1.0, convention="power")
+                               temperature=-1.0)
