@@ -20,14 +20,11 @@ from itertools import repeat
 
 import numpy as np
 
-from . import __version__
+from . import __version__, checks
 from .errors import OmdpError, ParameterError, UsageError
 from .model import DetectorParams, frequency_grid, omega_eff
-from .coefficients import closed_form_coefficients, solve_coefficients
-from .spectra import s_add, s_add_resonant, s_add_som, spectrum_sweep
-from .sql import (default_g_range, fit_shot_backaction,
-                  minimize_over_g_analytic, minimize_over_g_numeric, r_map,
-                  s_min_sweep)
+from .spectra import s_add_som, spectrum_sweep
+from .sql import r_map, s_min_sweep
 from .sensing import (DEFAULT_RATE_SCALE, MagnetometerConfig, make_report,
                       response_coefficient, s_r, snr)
 
@@ -211,10 +208,8 @@ def resolve_table(subcommand, config_path, overrides):
 
 
 def _digest(path):
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _json_default(obj):
@@ -277,7 +272,11 @@ class Emitter:
             os.remove(path)
             raise ParameterError("%s: refusing to write NaN or inf"
                                  % filename) from None
-        self._write_manifest(path, filename)
+        try:
+            self._write_manifest(path, filename)
+        except OSError:
+            os.remove(path)  # no data file without its manifest
+            raise
         self.files.append(path)
         return path
 
@@ -361,19 +360,16 @@ def cmd_sql_map(config, emitter):
     omegas = np.linspace(t["omega_lo"], t["omega_hi"], t["omega_points"])
     vs = np.linspace(t["v_lo"], t["v_hi"], t["v_points"])
     m = r_map(params, omegas, vs)
-    rows = []
-    for i, v in enumerate(m.v_grid):
-        for j, w in enumerate(m.omega_grid):
-            rows.append((w, v, m.log10_r1[i][j], m.log10_r2[i][j]))
+    rows = [(w, v, m.log10_r1[i][j], m.log10_r2[i][j])
+            for i, v in enumerate(m.v_grid)
+            for j, w in enumerate(m.omega_grid)]
     emitter.table_file("sql_map",
                        ("omega_over_omega_m", "v_over_omega_m",
                         "log10_r1", "log10_r2"), rows)
-    crossings = []
-    for i, v in enumerate(m.v_grid):
-        for w in m.r1_crossings[i]:
-            crossings.append((v, "r1", w))
-        for w in m.r2_crossings[i]:
-            crossings.append((v, "r2", w))
+    crossings = [(v, factor, w) for i, v in enumerate(m.v_grid)
+                 for factor, ws in (("r1", m.r1_crossings[i]),
+                                    ("r2", m.r2_crossings[i]))
+                 for w in ws]
     emitter.table_file("sql_map_contours",
                        ("v_over_omega_m", "factor", "omega_crossing"),
                        crossings)
@@ -398,13 +394,11 @@ def cmd_sweep(config, emitter):
     emitter.extra["swept_parameter"] = name
     emitter.extra["skipped"] = [list(s) for s in res.skipped]
     emitter.extra["at_boundary"] = res.at_boundary
-    if res.g_opt is not None:
-        cols = ("swept_value", "s_min", "omega_at_min", "g_opt")
-        rows = list(zip(res.values, res.s_min, res.omega_at_min, res.g_opt))
-    else:
-        cols = ("swept_value", "s_min", "omega_at_min")
-        rows = list(zip(res.values, res.s_min, res.omega_at_min))
-    emitter.table_file("sweep_%s" % panel, cols, rows)
+    # g_opt is a column only where the sweep optimized the coupling
+    n = 3 if res.g_opt is None else 4
+    cols = ("swept_value", "s_min", "omega_at_min", "g_opt")[:n]
+    series = (res.values, res.s_min, res.omega_at_min, res.g_opt)[:n]
+    emitter.table_file("sweep_%s" % panel, cols, list(zip(*series)))
 
 
 def cmd_snr(config, emitter):
@@ -430,11 +424,9 @@ def cmd_snr(config, emitter):
     rows = [(float(tk), s_r(base, float(tk), rate_scale)) for tk in temps]
     emitter.table_file("s_r_vs_temperature", ("temperature_k", "s_r"), rows)
 
-    rows = [(w, sp, sa) for w, sp, sa in
-            zip(rp.snr_omegas, rp.snr_values, ra.snr_values)]
     emitter.table_file("snr_spectrum",
                        ("omega_over_omega_m", "snr_power", "snr_amplitude"),
-                       rows)
+                       list(zip(rp.snr_omegas, rp.snr_values, ra.snr_values)))
 
     bs = np.geomspace(t["b_lo"], t["b_hi"], t["b_points"])
     xi = response_coefficient(t["current"], t["probe_size"])
@@ -455,122 +447,14 @@ def cmd_snr(config, emitter):
     emitter.json_file("accuracy", accuracy)
 
 
-def _random_params(rng):
-    wm1 = rng.uniform(0.5, 2.0)
-    wm2 = rng.uniform(0.5, 2.0)
-    return DetectorParams(
-        delta_prime=rng.uniform(-2.0, 2.0),
-        kappa=rng.uniform(0.01, 1.0),
-        g_lin=rng.uniform(1e-3, 0.3),
-        omega_m1=wm1, omega_m2=wm2,
-        gamma1=rng.uniform(1e-5, 1e-2), gamma2=rng.uniform(1e-5, 1e-2),
-        v_coupling=rng.uniform(0.0, 0.9) * math.sqrt(wm1 * wm2))
-
-
-def _rel(a, b):
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
-
-
 def cmd_validate(config, emitter):
     t = config.table
     rng = np.random.default_rng(t["seed"])
-    sets, sql_sets = t["sets"], t["sql_sets"]
     report = {}
-
-    worst = 0.0
-    for _ in range(sets):
-        p = _random_params(rng)
-        w = rng.uniform(0.1, 2.2)
-        cf = closed_form_coefficients(p, w)
-        so = solve_coefficients(p, w)
-        for a, b in ((cf.a_coef, so.a_coef), (cf.b_coef, so.b_coef),
-                     (cf.c_coef, so.c_coef), (cf.d_coef, so.d_coef)):
-            worst = max(worst, _rel(a, b))
-    report["coefficient_oracle"] = {"worst_rel_err": worst,
-                                    "sets": sets, "pass": worst < 1e-9}
-
-    worst = 0.0
-    for _ in range(sets):
-        p = _random_params(rng)
-        w = rng.uniform(0.1, 2.2)
-        ps = replace(p, omega_m1=p.omega_m2, omega_m2=p.omega_m1,
-                     gamma1=p.gamma2, gamma2=p.gamma1)
-        co, cs = solve_coefficients(p, w), solve_coefficients(ps, w)
-        worst = max(worst, _rel(co.c_coef, cs.d_coef),
-                    _rel(co.d_coef, cs.c_coef), _rel(co.a_coef, cs.a_coef),
-                    _rel(co.b_coef, cs.b_coef))
-    report["exchange_symmetry"] = {"worst_rel_err": worst,
-                                   "sets": sets, "pass": worst < 1e-9}
-
-    worst = 0.0
-    for _ in range(sets):
-        p = _random_params(rng)
-        wm = p.omega_m1
-        p = replace(p, omega_m2=wm, gamma2=p.gamma1,
-                    v_coupling=min(p.v_coupling, 0.9 * wm),
-                    nth1=rng.uniform(0.0, 100.0))
-        p = replace(p, nth2=p.nth1)
-        w = rng.uniform(0.5, 1.5) * wm
-        got = s_add(p, w).s_th
-        want = p.gamma1 * p.nth1 / 2.0
-        worst = max(worst, _rel(got, want))
-    report["thermal_halving"] = {"worst_rel_err": worst,
-                                 "sets": sets, "pass": worst < 1e-12}
-
-    worst_fit = 0.0
-    worst_sql = 0.0
-    at_boundary = 0
-    for _ in range(sql_sets):
-        p = _random_params(rng)
-        p = replace(p, delta_prime=rng.uniform(0.8, 1.2) * p.omega_m1,
-                    v_coupling=rng.uniform(0.0, 0.4) * p.omega_m1)
-        w = rng.uniform(0.9, 1.2) * p.omega_m1
-        an = minimize_over_g_analytic(p, w)
-
-        def ev(g, w_, p=p):
-            return s_add(replace(p, g_lin=g), w_).s_add
-
-        worst_fit = max(worst_fit, fit_shot_backaction(ev, w, an.g_opt)[3])
-        nu = minimize_over_g_numeric(p, w, default_g_range(p))
-        worst_sql = max(worst_sql, _rel(an.s_sql, nu.s_sql))
-        at_boundary += nu.at_boundary
-    report["structure_fit"] = {"worst_residual": worst_fit,
-                               "sets": sql_sets, "pass": worst_fit < 1e-8}
-    report["sql_cross_check"] = {"worst_rel_err": worst_sql,
-                                 "sets": sql_sets, "pass": worst_sql < 1e-6}
+    for check, sets in checks.CHECKS:
+        report.update(check(rng, sets(t)))
     # sets whose numeric coupling optimum sat on an end of the g range
-    emitter.sidecar["at_boundary"] = at_boundary
-
-    # reduced-vs-full spectrum deviation near resonance: reported, not gated
-    p = _detector({"delta_prime": 1.0, "kappa": 0.1, "g": 0.03,
-                   "gamma": 1e-5}, 0.2, 10.0)
-    devs = []
-    for w in np.linspace(0.9, 1.1, 201):
-        full = s_add(p, float(w)).s_add
-        red = s_add_resonant(p, float(w))
-        devs.append(abs(red - full) / full)
-    devs = np.array(devs)
-    report["resonant_reduction_deviation"] = {
-        "band": [0.9, 1.1], "median": float(np.median(devs)),
-        "max": float(np.max(devs)), "gated": False}
-
-    # coupling-squared variant diagnostic for complex g
-    match = {"conjugate": 0.0, "direct": 0.0}
-    for _ in range(50):
-        p = _random_params(rng)
-        p = replace(p, g_lin=p.g_lin * np.exp(1j * rng.uniform(0.1, 3.0)))
-        w = rng.uniform(0.5, 1.5)
-        so = solve_coefficients(p, w)
-        for form in match:
-            cf = closed_form_coefficients(p, w, b_form=form)
-            match[form] = max(match[form], _rel(cf.b_coef, so.b_coef))
-    report["b_variant"] = {
-        "worst_rel_err_conjugate": match["conjugate"],
-        "worst_rel_err_direct": match["direct"],
-        "solver_matches": ("conjugate" if match["conjugate"] < match["direct"]
-                           else "direct"),
-        "gated": False}
-
+    emitter.sidecar["at_boundary"] = report.pop("at_boundary")
     ok = all(chk.get("pass", True) for chk in report.values())
     report["all_pass"] = ok
     emitter.json_file("validate_report", report)
@@ -614,13 +498,13 @@ def main(argv=None):
         # ArithmeticError; numpy's warnings would only repeat it
         with np.errstate(all="ignore"):
             rc = handler(config, emitter)
-        for path in emitter.files:
-            print(path)
-        return int(rc) if rc else 0
-    except (OmdpError, ArithmeticError) as exc:
+    except (OmdpError, ArithmeticError, OSError) as exc:
         # an error exit leaves no file from its run
         if emitter is not None:
             emitter.discard()
+        if isinstance(exc, OSError):
+            # --out names a file, or a path under it is not writable
+            exc = UsageError("cannot write output: %s" % exc)
         if isinstance(exc, UsageError):
             print("usage error: %s" % exc, file=sys.stderr)
             return 2
@@ -629,6 +513,9 @@ def main(argv=None):
             exc = "%s: %s" % (type(exc).__name__, exc)
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    for path in emitter.files:
+        print(path)
+    return int(rc) if rc else 0
 
 
 if __name__ == "__main__":

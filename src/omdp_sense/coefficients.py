@@ -35,6 +35,19 @@ class OutputCoefficients:
     d_e: complex
 
 
+def _back_substitute(a):
+    # solve the eliminated upper-triangular rows of a for all four
+    # right-hand-side columns; entries are numbers or Exact arrays
+    out = [[0j] * 4 for _ in range(4)]
+    for j in range(4):
+        for i in range(3, -1, -1):
+            s = a[i][4 + j]
+            for c in range(i + 1, 4):
+                s -= a[i][c] * out[c][j]
+            out[i][j] = s / a[i][i]
+    return out
+
+
 def _solve4(m, rhs):
     # Gaussian elimination with partial pivoting on a 4x4 complex system,
     # four right-hand sides at once. gamma > 0 keeps the system regular,
@@ -58,15 +71,7 @@ def _solve4(m, rhs):
                 row_r, row_c = a[r], a[col]
                 for c in range(col, 8):
                     row_r[c] -= fac * row_c[c]
-    # back substitution, one pass for all four columns
-    out = [[0j] * 4 for _ in range(4)]
-    for j in range(4):
-        for i in range(3, -1, -1):
-            s = a[i][4 + j]
-            for c in range(i + 1, 4):
-                s -= a[i][c] * out[c][j]
-            out[i][j] = s / a[i][i]
-    return out
+    return _back_substitute(a)
 
 
 def _solve4_batched(m, rhs, n):
@@ -108,14 +113,7 @@ def _solve4_batched(m, rhs, n):
                 new = row_r[c] - fac * row_c[c]
                 row_r[c] = new if keep.all() else Exact(
                     np.where(keep, new.value, row_r[c].value))
-    out = [[0j] * 4 for _ in range(4)]
-    for j in range(4):
-        for i in range(3, -1, -1):
-            s = a[i][4 + j]
-            for c in range(i + 1, 4):
-                s -= a[i][c] * out[c][j]
-            out[i][j] = s / a[i][i]
-    return out
+    return _back_substitute(a)
 
 
 def solve_coefficients(params, omega, g_lin=None):

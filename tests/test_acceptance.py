@@ -7,35 +7,20 @@ not attain (4 and 8); they fail with the measured values on record rather
 than with loosened tolerances.
 """
 
-import json
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
-import pytest
 
-from omdp_sense import (DetectorParams, closed_form_coefficients,
-                        default_g_range, frequency_grid,
-                        minimize_over_g_analytic, minimize_over_g_numeric,
-                        occupation_temperature, omega_eff, r_factors, s_add,
-                        s_add_som, s_min_sweep, s_r, solve_coefficients,
+from omdp_sense import (frequency_grid, occupation_temperature, omega_eff,
+                        r_factors, s_add, s_add_som, s_min_sweep, s_r,
                         MagnetometerConfig, make_report)
-from omdp_sense.cli import _random_params as random_valid, main as cli_main
+from omdp_sense.checks import (coefficient_oracle, coupling_optimum, rel,
+                               reference_params as reference)
+from omdp_sense.cli import main as cli_main
 from omdp_sense.optimize import golden_min
 
 W_SI = 2.0 * math.pi * 10.56e6
-
-
-def reference(**kw):
-    d = dict(delta_prime=1.0, kappa=0.1, g_lin=0.03, omega_m1=1.0,
-             omega_m2=1.0, gamma1=1e-5, gamma2=1e-5, v_coupling=0.2)
-    d.update(kw)
-    return DetectorParams(**d)
-
-
-def rel(a, b):
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
 def report(n, ok, detail):
@@ -45,15 +30,8 @@ def report(n, ok, detail):
 def test_criterion_01_coefficient_oracle():
     rng = np.random.default_rng(1)
     t0 = time.monotonic()
-    worst = 0.0
-    for _ in range(1000):
-        p = random_valid(rng)
-        w = rng.uniform(0.1, 2.2)
-        cf = closed_form_coefficients(p, w)
-        so = solve_coefficients(p, w)
-        for a, b in ((cf.a_coef, so.a_coef), (cf.b_coef, so.b_coef),
-                     (cf.c_coef, so.c_coef), (cf.d_coef, so.d_coef)):
-            worst = max(worst, rel(a, b))
+    worst = coefficient_oracle(rng, 1000)["coefficient_oracle"][
+        "worst_rel_err"]
     elapsed = time.monotonic() - t0
     ok = worst < 1e-9 and elapsed < 5.0
     report(1, ok, "worst rel err %.3e over 1000 sets in %.2f s"
@@ -65,15 +43,7 @@ def test_criterion_01_coefficient_oracle():
 def test_criterion_02_sql_minimizer_cross_check():
     rng = np.random.default_rng(2)
     t0 = time.monotonic()
-    worst = 0.0
-    for _ in range(100):
-        p = random_valid(rng)
-        p = replace(p, delta_prime=rng.uniform(0.8, 1.2) * p.omega_m1,
-                    v_coupling=rng.uniform(0.0, 0.4) * p.omega_m1)
-        w = rng.uniform(0.9, 1.2) * p.omega_m1
-        an = minimize_over_g_analytic(p, w)
-        nu = minimize_over_g_numeric(p, w, default_g_range(p))
-        worst = max(worst, rel(an.s_sql, nu.s_sql))
+    worst = coupling_optimum(rng, 100)["sql_cross_check"]["worst_rel_err"]
     elapsed = time.monotonic() - t0
     ok = worst < 1e-6 and elapsed < 10.0
     report(2, ok, "worst rel err %.3e over 100 sets in %.2f s"
@@ -132,13 +102,14 @@ def test_criterion_05_sweep_anchors():
 
 def test_criterion_06_thermal_halving():
     rng = np.random.default_rng(6)
-    worst = 0.0
+    errs = []
     for _ in range(100):
         nth = rng.uniform(0.1, 100.0)
         p = reference(nth1=nth, nth2=nth,
                       v_coupling=rng.uniform(0.0, 0.9))
         w = rng.uniform(0.5, 1.5)
-        worst = max(worst, rel(s_add(p, w).s_th, p.gamma1 * nth / 2.0))
+        errs.append(rel(s_add(p, w).s_th, p.gamma1 * nth / 2.0))
+    worst = float(np.max(errs))  # a NaN error stays NaN and fails
     ok = worst < 1e-12
     report(6, ok, "worst rel err %.3e over 100 random frequencies" % worst)
     assert worst < 1e-12, worst

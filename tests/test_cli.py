@@ -6,11 +6,12 @@ import math
 import os
 import tempfile
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omdp_sense import cli
+from omdp_sense import cli, coefficients
 from omdp_sense.cli import SCHEMA, main, resolve_table, load_config_file
 from omdp_sense.errors import UsageError
 
@@ -248,6 +249,22 @@ class TestExitCodes:
                    "--out", str(tmp_path)])
         assert rc == 0
 
+    @pytest.mark.parametrize("blocked", [
+        "", "spectrum.csv", "spectrum.csv.manifest.json"])
+    def test_unwritable_output_is_two(self, tmp_path, capsys, blocked):
+        # --out names a regular file, or a directory takes the path of a
+        # data file or of its manifest
+        out = tmp_path / "out"
+        if blocked:
+            (out / blocked).mkdir(parents=True)
+        else:
+            out.write_text("")
+        rc = main(["spectrum", "--set", "base_points=11", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("usage error:")
+        assert err.count("\n") == 1 and str(out / blocked) in err
+        assert not blocked or [p.name for p in out.iterdir()] == [blocked]
+
     def test_missing_out_dir_is_created(self, tmp_path):
         out = tmp_path / "fresh" / "nested"
         rc = main(["sweep", "--set", "panel=b", "--set", "points=5",
@@ -418,6 +435,21 @@ class TestValidateCommand:
         assert "at_boundary" not in doc["manifest"]
         assert "at_boundary" not in doc["data"]
 
+    def test_failed_gate_exits_one_and_keeps_report(self, tmp_path,
+                                                    monkeypatch):
+        real = coefficients.closed_form_coefficients
+
+        def perturbed(*args, **kw):
+            c = real(*args, **kw)
+            return replace(c, a_coef=c.a_coef * (1.0 + 1e-6))
+        monkeypatch.setattr(coefficients, "closed_form_coefficients",
+                            perturbed)
+        rc = main(["validate", "--set", "sets=5", "--set", "sql_sets=2",
+                   "--out", str(tmp_path)])
+        doc = json.loads((tmp_path / "validate_report.json").read_text())
+        assert rc == 1 and doc["data"]["all_pass"] is False
+        assert doc["data"]["coefficient_oracle"]["pass"] is False
+
 
 class TestManifestReruns:
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -447,8 +479,9 @@ class TestManifestReruns:
 
 
 # --set layers drawn at random: each run exits 0 with finite data files, or
-# exits 1 or 2 with one message line and no traceback
-FUZZED = ("spectrum", "sql-map", "sweep", "snr")
+# exits 1 or 2 with one message line, no traceback and no file left behind;
+# a validate gate that fails exits 1 silently and keeps its report
+FUZZED = ("spectrum", "sql-map", "sweep", "snr", "validate")
 JUNK = ("abc", "warm", "1,2", "0", "-1", "1e308", "-1e308", "nan", "inf", "")
 VALID = {
     "rate": st.floats(-2.0, 2.0),
@@ -508,6 +541,13 @@ def test_random_set_layers_exit_cleanly(data):
             for name in os.listdir(out):
                 if not name.endswith(".manifest.json"):
                     _assert_finite(os.path.join(out, name))
+        elif command == "validate" and not err.getvalue():
+            # a failed gated check is not an error: exit 1, report kept
+            with open(os.path.join(out, "validate_report.json")) as fh:
+                assert rc == 1 and not json.load(fh)["data"]["all_pass"], argv
+            return
+        else:
+            assert not os.listdir(out), argv
     msg = err.getvalue()
     assert rc in (0, 1, 2), argv
     if rc:

@@ -1,37 +1,17 @@
 import cmath
-import math
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from omdp_sense import (DetectorParams, ParameterError,
-                        closed_form_coefficients, solve_coefficients)
+from omdp_sense import (ParameterError, closed_form_coefficients,
+                        coefficients, solve_coefficients)
+from omdp_sense.checks import (b_variant, coefficient_oracle,
+                               exchange_symmetry, reference_params as params,
+                               rel)
 
 RNG_SEED = 74205
-
-
-def params(**kw):
-    d = dict(delta_prime=1.0, kappa=0.1, g_lin=0.03, omega_m1=1.0,
-             omega_m2=1.0, gamma1=1e-5, gamma2=1e-5, v_coupling=0.2)
-    d.update(kw)
-    return DetectorParams(**d)
-
-
-def random_params(rng):
-    wm1 = rng.uniform(0.5, 2.0)
-    wm2 = rng.uniform(0.5, 2.0)
-    return DetectorParams(
-        delta_prime=rng.uniform(-2.0, 2.0),
-        kappa=rng.uniform(0.01, 1.0),
-        g_lin=rng.uniform(1e-3, 0.3),
-        omega_m1=wm1, omega_m2=wm2,
-        gamma1=rng.uniform(1e-5, 1e-2), gamma2=rng.uniform(1e-5, 1e-2),
-        v_coupling=rng.uniform(0.0, 0.9) * math.sqrt(wm1 * wm2))
-
-
-def rel(a, b):
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
 # frozen reference point: V = 0.2, omega = 1.05, T = 0
@@ -59,16 +39,9 @@ class TestReferencePoint:
 class TestOracleEquivalence:
     def test_routes_agree_on_random_sets(self):
         rng = np.random.default_rng(RNG_SEED)
-        worst = 0.0
-        for _ in range(200):
-            p = random_params(rng)
-            w = rng.uniform(0.1, 2.2)
-            cf = closed_form_coefficients(p, w)
-            so = solve_coefficients(p, w)
-            for a, b in ((cf.a_coef, so.a_coef), (cf.b_coef, so.b_coef),
-                         (cf.c_coef, so.c_coef), (cf.d_coef, so.d_coef)):
-                worst = max(worst, rel(a, b))
-        assert worst < 1e-9, "routes disagree, worst %.3e" % worst
+        entry = coefficient_oracle(rng, 200)["coefficient_oracle"]
+        assert entry["pass"], "routes disagree, worst %.3e" % (
+            entry["worst_rel_err"])
 
     def test_closed_form_wants_zero_homodyne_angle(self):
         with pytest.raises(ParameterError):
@@ -82,17 +55,22 @@ class TestOracleEquivalence:
 class TestExchangeSymmetry:
     def test_swap_maps_c_to_d(self):
         rng = np.random.default_rng(RNG_SEED + 1)
-        for _ in range(50):
-            p = random_params(rng)
-            w = rng.uniform(0.1, 2.2)
-            ps = replace(p, omega_m1=p.omega_m2, omega_m2=p.omega_m1,
-                         gamma1=p.gamma2, gamma2=p.gamma1)
-            co = solve_coefficients(p, w)
-            cs = solve_coefficients(ps, w)
-            assert rel(co.c_coef, cs.d_coef) < 1e-9
-            assert rel(co.d_coef, cs.c_coef) < 1e-9
-            assert rel(co.a_coef, cs.a_coef) < 1e-9
-            assert rel(co.b_coef, cs.b_coef) < 1e-9
+        entry = exchange_symmetry(rng, 50)["exchange_symmetry"]
+        assert entry["pass"], entry["worst_rel_err"]
+
+
+@pytest.mark.parametrize("check", (coefficient_oracle, exchange_symmetry))
+def test_non_finite_coefficient_fails_the_gate(check, monkeypatch):
+    # one overflowed solve among finite ones: rel(inf, x) is NaN, and the
+    # worst error must stay NaN past the finite sets after it
+    real, calls = coefficients.solve_coefficients, itertools.count()
+
+    def overflowing(*args, **kw):
+        c = real(*args, **kw)
+        return replace(c, c_coef=complex("inf")) if next(calls) == 1 else c
+    monkeypatch.setattr(coefficients, "solve_coefficients", overflowing)
+    entry = check(np.random.default_rng(RNG_SEED), 5)[check.__name__]
+    assert np.isnan(entry["worst_rel_err"]) and entry["pass"] is False
 
 
 class TestCouplingStructure:
@@ -126,13 +104,9 @@ class TestComplexCouplingVariant:
     # itself, and the two coincide for real G
     def test_solver_matches_direct_square(self):
         rng = np.random.default_rng(RNG_SEED + 2)
-        for _ in range(20):
-            p = random_params(rng)
-            p = replace(p, g_lin=p.g_lin * cmath.exp(1j * rng.uniform(0.2, 3.0)))
-            w = rng.uniform(0.5, 1.5)
-            so = solve_coefficients(p, w)
-            direct = closed_form_coefficients(p, w, b_form="direct")
-            assert rel(direct.b_coef, so.b_coef) < 1e-12
+        entry = b_variant(rng, 20)["b_variant"]
+        assert entry["worst_rel_err_direct"] < 1e-12
+        assert entry["solver_matches"] == "direct"
 
     def test_conjugate_square_differs_for_complex_coupling(self):
         p = params(g_lin=0.03 * cmath.exp(0.7j))

@@ -4,18 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omdp_sense import (DetectorParams, ParameterError, chi_cavity,
-                        chi_cavity_conj, chi_mech, frequency_grid,
-                        occupation_temperature, omega_eff, thermal_occupation)
+from omdp_sense import (ParameterError, chi_cavity, chi_cavity_conj, chi_mech,
+                        frequency_grid, occupation_temperature, omega_eff,
+                        thermal_occupation)
+from omdp_sense.checks import reference_params as params
 
 W_SI = 2.0 * math.pi * 10.56e6
-
-
-def params(**kw):
-    d = dict(delta_prime=1.0, kappa=0.1, g_lin=0.03, omega_m1=1.0,
-             omega_m2=1.0, gamma1=1e-5, gamma2=1e-5, v_coupling=0.2)
-    d.update(kw)
-    return DetectorParams(**d)
 
 
 class TestChiCavity:

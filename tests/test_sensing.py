@@ -1,14 +1,16 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from omdp_sense import (DetectorParams, MagnetometerConfig, ParameterError,
-                        make_report, occupation_temperature, omega_eff,
+from omdp_sense import (MagnetometerConfig, ParameterError, make_report,
+                        occupation_temperature, omega_eff,
                         response_coefficient, s_add, s_r, snr,
                         thermal_occupation)
 from omdp_sense import sensing
+from omdp_sense.checks import reference_params
 
 W_SI = 2.0 * math.pi * 10.56e6
 GAMMA = 32.0 / 10.56e6        # 2*pi*32 Hz in mechanical-frequency units
@@ -17,11 +19,7 @@ ANCHOR_SNR = 1.7e6
 ANCHOR_B = 1e-13
 
 
-def params(**kw):
-    d = dict(delta_prime=1.0, kappa=0.1, g_lin=0.03, omega_m1=1.0,
-             omega_m2=1.0, gamma1=GAMMA, gamma2=GAMMA, v_coupling=0.2)
-    d.update(kw)
-    return DetectorParams(**d)
+params = partial(reference_params, gamma1=GAMMA, gamma2=GAMMA)
 
 
 CONFIG = MagnetometerConfig(current=10e-6, probe_size=15e-6, field=ANCHOR_B,

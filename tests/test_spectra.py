@@ -1,6 +1,7 @@
 import cmath
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from omdp_sense import (DetectorParams, ParameterError, SingularSystemError,
                         TransductionAbsentError, frequency_grid, omega_eff,
                         s_add, s_add_resonant, s_add_som, solve_coefficients,
                         spectrum_sweep)
+from omdp_sense.checks import random_t0, reference_params
 from omdp_sense.coefficients import _solve4, _solve4_batched
 from omdp_sense.exact import Exact
 from omdp_sense.optimize import log_grid
@@ -17,12 +19,7 @@ from omdp_sense.spectra import SOLVE_BLOCK, _noise
 from omdp_sense.sql import _shot_backaction, default_g_range
 
 
-def params(**kw):
-    d = dict(delta_prime=1.0, kappa=0.1, g_lin=0.03, omega_m1=1.0,
-             omega_m2=1.0, gamma1=1e-5, gamma2=1e-5, v_coupling=0.2,
-             nth1=10.0, nth2=10.0)
-    d.update(kw)
-    return DetectorParams(**d)
+params = partial(reference_params, nth1=10.0, nth2=10.0)
 
 
 class TestSAdd:
@@ -253,14 +250,7 @@ class TestCouplingArrayRoute:
         # the sets and the 64-per-decade grid of validate's numeric optimum
         rng = np.random.default_rng(20240817)
         for _ in range(20):
-            wm1, wm2 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
-            p = DetectorParams(
-                delta_prime=rng.uniform(0.8, 1.2) * wm1,
-                kappa=rng.uniform(0.01, 1.0), g_lin=0.03,
-                omega_m1=wm1, omega_m2=wm2,
-                gamma1=rng.uniform(1e-5, 1e-2), gamma2=rng.uniform(1e-5, 1e-2),
-                v_coupling=rng.uniform(0.0, 0.4) * wm1)
-            w = rng.uniform(0.9, 1.2) * wm1
+            p, w = random_t0(rng)
             self.assert_identical(p, w, log_grid(*default_g_range(p)))
 
     @pytest.mark.parametrize("v", [0.1, 0.15])

@@ -10,32 +10,10 @@ from omdp_sense import (DetectorParams, ParameterError,
                         fit_shot_backaction, minimize_over_g_analytic,
                         minimize_over_g_numeric, omega_eff, r_factors, r_map,
                         s_add, s_min_sweep, som_sql)
+from omdp_sense.checks import (random_t0, reference_params as params,
+                               s_add_in_g)
 from omdp_sense.optimize import golden_min, log_grid, scan_then_golden
 from omdp_sense.sql import _shot_backaction
-
-
-def params(**kw):
-    d = dict(delta_prime=1.0, kappa=0.1, g_lin=0.03, omega_m1=1.0,
-             omega_m2=1.0, gamma1=1e-5, gamma2=1e-5, v_coupling=0.2)
-    d.update(kw)
-    return DetectorParams(**d)
-
-
-def random_t0(rng):
-    # the zero-temperature distribution of acceptance criterion 02
-    wm1 = rng.uniform(0.5, 2.0)
-    wm2 = rng.uniform(0.5, 2.0)
-    p = DetectorParams(
-        delta_prime=rng.uniform(0.8, 1.2) * wm1,
-        kappa=rng.uniform(0.01, 1.0), g_lin=rng.uniform(1e-3, 0.3),
-        omega_m1=wm1, omega_m2=wm2,
-        gamma1=rng.uniform(1e-5, 1e-2), gamma2=rng.uniform(1e-5, 1e-2),
-        v_coupling=rng.uniform(0.0, 0.4) * wm1)
-    return p, rng.uniform(0.9, 1.2) * wm1
-
-
-def s_add_in_g(p):
-    return lambda g, w: s_add(replace(p, g_lin=g), w).s_add
 
 
 # frozen reference limits at omega = omega_m
