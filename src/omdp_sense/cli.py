@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__, checks
 from .errors import OmdpError, ParameterError, UsageError
+from .exact import Exact
 from .model import DetectorParams, frequency_grid, omega_eff
 from .spectra import s_add_som, spectrum_sweep
 from .sql import r_map, s_min_sweep
@@ -208,8 +209,11 @@ def resolve_table(subcommand, config_path, overrides):
 
 
 def _digest(path):
+    sha = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            sha.update(block)
+    return sha.hexdigest()
 
 
 def _json_default(obj):
@@ -222,6 +226,58 @@ def _json_default(obj):
 
 def _non_finite():
     raise ValueError("NaN or inf cell")
+
+
+# rows per write of a CSV table
+CSV_CHUNK = 4096
+
+
+def _block_format(block):
+    """The one %-format that writes every row of a block as csv.writer
+    would, numbers as %.17g; None when the block needs csv.writer itself:
+    rows of different shapes (cell types), or text that csv may quote
+    (Python 3.13 on also quotes a carriage return) or, alone in its row and
+    empty, writes as ""."""
+    if len(set(map(len, block))) != 1:
+        return None
+    cells = []
+    for column in zip(*block):
+        kinds = set(map(type, column))
+        if len(kinds) != 1:
+            return None
+        if issubclass(kinds.pop(), str):
+            texts = set(column)
+            if any(c in text for text in texts for c in ',"\r\n') or (
+                    "" in texts and len(block[0]) == 1):
+                return None
+            cells.append("%s")
+        else:
+            cells.append("%.17g")
+    return ",".join(cells) + "\n"
+
+
+def _write_csv(fh, columns, rows):
+    """Write the header and rows as csv.writer with %.17g numbers does,
+    which round-trips every float and prints integers whole; rows go out
+    CSV_CHUNK at a time.
+
+    A block of rows of one shape goes out through one %-format per row; a
+    block that _block_format cannot format, or that holds a NaN or inf,
+    goes through csv.writer cell by cell, which refuses the NaN or inf.
+    """
+    wr = csv.writer(fh, lineterminator="\n")
+    wr.writerow(columns)
+    for lo in range(0, len(rows), CSV_CHUNK):
+        block = list(map(tuple, rows[lo:lo + CSV_CHUNK]))
+        fmt = _block_format(block)
+        chunk = None if fmt is None else "".join(map(fmt.__mod__, block))
+        # a finite number prints without an "n", inf and nan with one
+        if chunk is None or "n" in chunk:
+            wr.writerows([x if isinstance(x, str) else "%.17g" % x
+                          if math.isfinite(x) else _non_finite()
+                          for x in row] for row in block)
+        else:
+            fh.write(chunk)
 
 
 class Emitter:
@@ -295,15 +351,8 @@ class Emitter:
                               {"columns": list(columns),
                                "rows": [list(r) for r in rows]})
 
-        def write(fh):
-            isfinite = math.isfinite
-            wr = csv.writer(fh, lineterminator="\n")
-            wr.writerow(columns)
-            # %.17g round-trips every float and prints integers whole
-            wr.writerows([x if isinstance(x, str) else "%.17g" % x
-                          if isfinite(x) else _non_finite()
-                          for x in row] for row in rows)
-        return self._write(stem + ".csv", write)
+        return self._write(stem + ".csv",
+                           lambda fh: _write_csv(fh, columns, rows))
 
     def json_file(self, stem, payload):
         return self._json(stem + ".json", payload)
@@ -344,9 +393,10 @@ def cmd_spectrum(config, emitter):
         res = spectrum_sweep(params, grid)
         rows += zip(res.omega.tolist(), res.s_add.tolist(), res.s_th.tolist(),
                     res.a_p.tolist(), repeat("v=%g" % v))
-    for w in frequency_grid([1.0], gamma, span, points).tolist():
-        rows.append((w, s_add_som(1.0, gamma, t["kappa"], t["g"], nth, w),
-                     gamma * nth, "", "som"))
+    ws = frequency_grid([1.0], gamma, span, points)
+    som = s_add_som(1.0, gamma, t["kappa"], t["g"], nth, Exact(ws))
+    rows += zip(ws.tolist(), np.asarray(som).tolist(), repeat(gamma * nth),
+                repeat(""), repeat("som"))
     emitter.table_file("spectrum",
                        ("omega_over_omega_m", "s_add", "s_th", "a_p", "series"),
                        rows)

@@ -13,7 +13,8 @@ do not:
   (``_Py_c_quot``); numpy's division rounds differently;
 - complex ``abs``: CPython calls ``hypot`` on the two parts; numpy's
   modulus differs in about a third of random values;
-- ``x ** 2`` on floats: CPython calls libm ``pow``; numpy squares.
+- ``x ** 2``: on floats CPython calls libm ``pow``, where numpy squares;
+  on complex numbers it forms ``(1+0j) * (z*z)``.
 
 ``Exact`` wraps a numpy array and gives it these operators, so the scalar
 formulas of the package (susceptibilities, coefficient assembly, noise)
@@ -71,7 +72,7 @@ class Exact:
     """A float or complex numpy array with CPython-rounded arithmetic.
 
     Supports +, -, *, / against Python numbers and other ``Exact`` values,
-    unary -, ``conjugate()``, ``abs``, and ``** 2`` on real values. ``bool``
+    unary -, ``conjugate()``, ``abs``, and ``** 2``. ``bool``
     is true when no element is zero, as a scalar is true when it is nonzero.
     ``np.asarray`` returns the wrapped array.
     """
@@ -123,6 +124,12 @@ class Exact:
         return Exact(np.hypot(v.real, v.imag) if _is_complex(v) else np.abs(v))
 
     def __pow__(self, exponent):
-        if exponent != 2 or _is_complex(self.value):
+        if exponent != 2:
             return NotImplemented
-        return Exact(np.float_power(self.value, 2.0))
+        v = self.value
+        if _is_complex(v):
+            # CPython's integer power (c_powi) forms (1+0j) * (z*z), which
+            # differs from z*z in the sign of a zero part and on inf; where
+            # CPython raises OverflowError for an infinite part, the inf stays
+            return Exact(_mul(1 + 0j, _mul(v, v)))
+        return Exact(np.float_power(v, 2.0))

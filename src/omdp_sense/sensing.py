@@ -16,6 +16,7 @@ import numpy as np
 
 from . import optimize
 from .errors import ParameterError
+from .exact import Exact
 from .model import frequency_grid, omega_eff, thermal_occupation
 from .spectra import s_add, s_add_som, spectrum_sweep
 
@@ -94,7 +95,8 @@ def som_noise_floor(params):
                          abs(params.g_lin), params.nth1, w)
 
     grid = frequency_grid([wm], params.gamma1, (0.8 * wm, 1.3 * wm), 201)
-    _, fx, _ = optimize.scan_then_golden(f, grid)
+    _, fx, _ = optimize.scan_then_golden(f, grid,
+                                         f_grid=lambda ws: f(Exact(ws)))
     return fx
 
 

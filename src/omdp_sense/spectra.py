@@ -13,7 +13,7 @@ from .model import chi_mech
 # frequencies per batched solve in spectrum_sweep: large enough to amortize
 # the per-call overhead, small enough that the block's temporaries stay a
 # few megabytes
-SOLVE_BLOCK = 2048
+SOLVE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,11 @@ def s_add_resonant(params, omega):
 
 
 def s_add_som(omega_m, gamma1, kappa, g_lin, nth1, omega):
-    """Single-oscillator baseline: |X/(x1 G) + Y G|^2 + gamma1 nth1."""
+    """Single-oscillator baseline: |X/(x1 G) + Y G|^2 + gamma1 nth1.
+
+    ``omega`` may be an Exact frequency array; every value then equals, bit
+    for bit, the call at that frequency alone.
+    """
     if omega_m <= 0 or gamma1 <= 0 or kappa <= 0:
         raise ParameterError("rates must be positive")
     if g_lin == 0:

@@ -18,7 +18,8 @@ from .errors import ParameterError, StructureViolationError
 from .model import (chi_cavity, chi_cavity_conj, chi_mech, frequency_grid,
                     omega_eff)
 from .coefficients import solve_coefficients
-from .spectra import _backaction_prefactor, _noise, _shot_prefactor, s_add
+from .spectra import (_backaction_prefactor, _noise, _shot_prefactor, s_add,
+                      spectrum_sweep)
 
 DEFAULT_G_RANGE_FACTORS = (1e-4, 10.0)  # times the mechanical frequency
 
@@ -283,7 +284,12 @@ def s_min_sweep(template, param, values, mode="fixed_g", grid="figure"):
             fine = frequency_grid(centers, lw,
                                   (SWEEP_SPAN[0] * scale, SWEEP_SPAN[1] * scale),
                                   201)
-            w_at, s_at, edge = optimize.scan_then_golden(objective, fine)
+            # fixed_g scans the grid in one array solve, equal bit for bit
+            # to s_add point by point; the polish calls s_add
+            on_grid = (None if mode == "sql" else
+                       lambda ws, pv=pv: spectrum_sweep(pv, ws).s_add)
+            w_at, s_at, edge = optimize.scan_then_golden(objective, fine,
+                                                         f_grid=on_grid)
 
         at_boundary += edge
         out_v.append(v)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import tempfile
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -323,6 +325,83 @@ class TestSpectrumCommand:
         for x, y in zip(ra, rb):
             assert x[0] == pytest.approx(y[0], rel=1e-12)
             assert x[1] == pytest.approx(y[1], rel=1e-12)
+
+
+def csv_writer_bytes(columns, rows):
+    """A table as csv.writer writes it with %.17g numbers, cell by cell."""
+    buf = io.StringIO()
+    wr = csv.writer(buf, lineterminator="\n")
+    wr.writerow(columns)
+    wr.writerows([x if isinstance(x, str) else "%.17g" % x for x in row]
+                 for row in rows)
+    return buf.getvalue().encode("utf-8")
+
+
+class TestCsvEmission:
+    def emit(self, tmp_path, columns, rows):
+        config = cli.RunConfig(subcommand="spectrum", table={},
+                               out_dir=str(tmp_path), fmt="csv")
+        path = cli.Emitter(config).table_file("t", columns, rows)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+    def test_bytes_equal_csv_writer_on_adversarial_rows(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = cli.CSV_CHUNK
+        edge = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0, 3)
+        # one chunk of a single shape, with plain text
+        rows = [(float(x), np.float64(y), 7 * k, "v=0.2")
+                for k, (x, y) in enumerate(rng.normal(size=(n, 2)))]
+        rows[:len(edge)] = [(x, np.float64(x), k, "som")
+                            for k, x in enumerate(edge)]
+        # a chunk of one shape with text csv quotes, and empty text
+        texts = ("a,b", 'say "hi"', "a\nb", "cr\r", "", "word")
+        rows += [(float(k), texts[k % len(texts)], float(rng.normal()),
+                  "" if k % 2 else "x") for k in range(n)]
+        # a chunk of pairs whose cell types differ from row to row
+        rows += ([(0.1, "a"), ("b", 0.3), (1, 2.0), (2.0, 1), ["", ""],
+                  [0.7, 0.9]] * n)[:n]
+        # a chunk of rows of different lengths, lists among them
+        rows += ([[""], [1.5], [], (-0.0, "a", 2)] * n)[:n]
+        # lone text cells, empty ones among them
+        rows += [("x",), ("",)] * 8
+        assert len(rows) > 4 * n
+        columns = ("a", "b", "c", "d")
+        assert self.emit(tmp_path, columns, rows) == csv_writer_bytes(
+            columns, rows)
+
+    def test_one_format_per_uniform_block(self):
+        block = [(0.5, 2, np.float64(0.25), "v=0.1")] * 3
+        fmt = cli._block_format(block)
+        assert fmt == "%.17g,%.17g,%.17g,%s\n"
+        assert cli._block_format(block + [(0.5, 2.0, 0.25, "v=0.1")]) is None
+        assert cli._block_format([(0.5, "a,b")]) is None
+        assert cli._block_format([("",)]) is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_last_row_exits_one_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, bad):
+        som = cli.s_add_som
+
+        def poisoned(*args):
+            out = np.array(som(*args))
+            out[-1] = bad
+            return out
+        monkeypatch.setattr(cli, "s_add_som", poisoned)
+        # four series of about 1,300 rows: the last row, a som row, lies
+        # past the first chunk boundary
+        rc = main(["spectrum", "--set", "base_points=1200",
+                   "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: spectrum.csv: refusing to write NaN or inf\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_digest_reads_in_chunks(self, tmp_path):
+        data = np.random.default_rng(3).bytes((1 << 20) * 2 + 12345)
+        path = tmp_path / "blob"
+        path.write_bytes(data)
+        assert cli._digest(str(path)) == hashlib.sha256(data).hexdigest()
 
 
 # the snr defaults need no spectrum-sized grids, so keep full defaults here

@@ -11,7 +11,7 @@ from omdp_sense import (DetectorParams, ParameterError, SingularSystemError,
                         TransductionAbsentError, frequency_grid, omega_eff,
                         s_add, s_add_resonant, s_add_som, solve_coefficients,
                         spectrum_sweep)
-from omdp_sense.checks import random_t0, reference_params
+from omdp_sense.checks import random_params, random_t0, reference_params
 from omdp_sense.coefficients import _solve4, _solve4_batched
 from omdp_sense.exact import Exact
 from omdp_sense.optimize import log_grid
@@ -104,6 +104,56 @@ class TestSomBaseline:
         cold = s_add_som(1.0, 1e-5, 0.1, 0.03, 0.0, 1.0)
         warm = s_add_som(1.0, 1e-5, 0.1, 0.03, 10.0, 1.0)
         assert warm - cold == pytest.approx(1e-5 * 10.0, rel=1e-12)
+
+    def test_array_route_equals_scalar_on_spectrum_grid(self):
+        p = params(**SET_1)
+        grid = frequency_grid([1.0], p.gamma1, (0.9, 1.2), 2001)
+        args = (1.0, p.gamma1, p.kappa, p.g_lin, p.nth1)
+        got = np.asarray(s_add_som(*args, Exact(grid))).tolist()
+        assert got == [s_add_som(*args, w) for w in grid.tolist()]
+
+    def test_array_route_equals_scalar_on_random_sets(self):
+        rng = np.random.default_rng(91)
+        for _ in range(50):
+            p = replace(random_params(rng), nth1=rng.uniform(0.0, 50.0))
+            wm = p.omega_m1
+            grid = frequency_grid([wm], p.gamma1, (0.8 * wm, 1.3 * wm), 201)
+            args = (wm, p.gamma1, p.kappa, abs(p.g_lin), p.nth1)
+            got = np.asarray(s_add_som(*args, Exact(grid))).tolist()
+            assert got == [s_add_som(*args, w) for w in grid.tolist()]
+
+
+def same_bits(x, y):
+    return ((x == y and math.copysign(1.0, x) == math.copysign(1.0, y))
+            or (math.isnan(x) and math.isnan(y)))
+
+
+class TestExactComplexSquare:
+    """Exact(z) ** 2 rounds as CPython's z ** 2, (1+0j) * (z*z)."""
+
+    def assert_as_cpython(self, zs):
+        with np.errstate(all="ignore"):
+            got = np.asarray(Exact(np.array(zs, dtype=complex)) ** 2)
+        for z, w in zip(zs, got.tolist()):
+            try:
+                want = z ** 2
+            except OverflowError:
+                # CPython refuses an infinite part; the array keeps it
+                assert math.isinf(w.real) or math.isinf(w.imag)
+                continue
+            assert same_bits(w.real, want.real), (z, w, want)
+            assert same_bits(w.imag, want.imag), (z, w, want)
+
+    def test_random_values(self):
+        rng = np.random.default_rng(8)
+        parts = rng.normal(size=(2, 5000)) * 10.0 ** rng.integers(
+            -150, 150, size=(2, 5000))
+        self.assert_as_cpython([complex(a, b) for a, b in parts.T])
+
+    def test_signed_zeros_large_values_and_inf_parts(self):
+        edges = (0.0, -0.0, 1.5, -1.5, 1e154, -1e154, 1e200, 5e-324,
+                 math.inf, -math.inf, math.nan)
+        self.assert_as_cpython([complex(a, b) for a in edges for b in edges])
 
 
 class TestSpectrumSweep:

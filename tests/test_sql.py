@@ -309,6 +309,19 @@ class TestSMinSweep:
         ref = s_min_sweep(self.template(), "v", vals, grid="refined")
         assert ref.s_min[0] < fig.s_min[0]
 
+    def test_refined_scan_on_arrays_equals_scalar_scan(self, monkeypatch):
+        scan, grids = sql.optimize.scan_then_golden, []
+
+        def checked(f, xs, f_grid):
+            grids.append(xs)
+            assert (np.asarray(f_grid(xs)).tolist()
+                    == [f(w) for w in xs.tolist()])
+            return scan(f, xs, f_grid)
+        monkeypatch.setattr(sql.optimize, "scan_then_golden", checked)
+        s_min_sweep(self.template(), "v", [0.0, 0.1, 0.2, 0.47],
+                    grid="refined")
+        assert len(grids) == 4
+
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ParameterError):
             s_min_sweep(self.template(), "mass", np.array([1.0]))
