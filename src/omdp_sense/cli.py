@@ -26,8 +26,8 @@ from .exact import Exact
 from .model import DetectorParams, frequency_grid, omega_eff
 from .spectra import s_add_som, spectrum_sweep
 from .sql import r_map, s_min_sweep
-from .sensing import (DEFAULT_RATE_SCALE, MagnetometerConfig, make_report,
-                      response_coefficient, s_r, snr)
+from .sensing import (DEFAULT_RATE_SCALE, MagnetometerConfig, _s_r_each,
+                      make_report, response_coefficient, s_r, snr)
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,6 @@ SCHEMA = {
         b_lo=(1e-15, "positive"), b_hi=(1e-12, "positive"),
         b_points=(13, "count")),
     "validate": {
-        "units": _DETECTOR["units"],
         "seed": (20240817, "count"), "sets": (300, "count"),
         "sql_sets": (40, "count")},
 }
@@ -199,7 +198,8 @@ def resolve_table(subcommand, config_path, overrides):
                                  % (key, subcommand))
             raw[key] = val
     scale = 1.0
-    if _typed("units", raw["units"], *schema["units"]) == "si":
+    if "units" in schema and _typed("units", raw["units"],
+                                    *schema["units"]) == "si":
         if raw.get("omega_m_si") is None:
             raise UsageError("units = si requires omega_m_si in rad/s")
         scale = _typed("omega_m_si", raw["omega_m_si"], *schema["omega_m_si"])
@@ -463,12 +463,13 @@ def cmd_snr(config, emitter):
         temperature=temperature), t["anchor_snr"], rate_scale)
     rp, ra = reports["power"], reports["amplitude"]
 
-    # enhancement against coupling and against temperature
-    vs = np.linspace(t["v_lo"], t["v_hi"], t["v_points"])
-    rows = [(float(v), s_r(replace(base, v_coupling=float(v)), temperature,
-                           rate_scale))
-            for v in vs]
-    emitter.table_file("s_r_vs_v", ("v_over_omega_m", "s_r"), rows)
+    # enhancement against coupling, with one baseline floor search for
+    # every coupling, and against temperature
+    vs = np.linspace(t["v_lo"], t["v_hi"], t["v_points"]).tolist()
+    s_rs = _s_r_each((replace(base, v_coupling=v) for v in vs), temperature,
+                     rate_scale)
+    emitter.table_file("s_r_vs_v", ("v_over_omega_m", "s_r"),
+                       list(zip(vs, s_rs)))
 
     temps = np.geomspace(t["t_lo"], t["t_hi"], t["t_points"])
     rows = [(float(tk), s_r(base, float(tk), rate_scale)) for tk in temps]

@@ -17,9 +17,10 @@ do not:
   on complex numbers it forms ``(1+0j) * (z*z)``.
 
 ``Exact`` wraps a numpy array and gives it these operators, so the scalar
-formulas of the package (susceptibilities, coefficient assembly, noise)
-evaluate on frequency arrays unchanged and with CPython's rounding, while
-the scalar route keeps running on plain Python numbers at no extra cost.
+formulas of the package (susceptibilities, coefficient assembly, noise,
+the T = 0 shot/back-action terms) evaluate on frequency arrays unchanged
+and with CPython's rounding, while the scalar route keeps running on plain
+Python numbers at no extra cost.
 """
 
 import numpy as np
@@ -72,7 +73,7 @@ class Exact:
     """A float or complex numpy array with CPython-rounded arithmetic.
 
     Supports +, -, *, / against Python numbers and other ``Exact`` values,
-    unary -, ``conjugate()``, ``abs``, and ``** 2``. ``bool``
+    unary -, ``conjugate()``, ``.real``, ``abs``, and ``** 2``. ``bool``
     is true when no element is zero, as a scalar is true when it is nonzero.
     ``np.asarray`` returns the wrapped array.
     """
@@ -118,6 +119,10 @@ class Exact:
 
     def conjugate(self):
         return Exact(np.conj(self.value))
+
+    @property
+    def real(self):
+        return Exact(np.real(self.value))  # takes the part, rounds nothing
 
     def __abs__(self):
         v = self.value

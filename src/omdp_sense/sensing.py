@@ -109,9 +109,21 @@ def s_r(params, temperature, rate_scale):
     the baseline noise floor divided by the dual-probe noise, independent of
     xi, field and calibration.
     """
-    pt = _thermalized(params, temperature, rate_scale)
-    dual = s_add(pt, omega_eff(pt.omega_m1, pt.v_coupling)).s_add
-    return som_noise_floor(pt) / dual
+    return next(_s_r_each((params,), temperature, rate_scale))
+
+
+def _s_r_each(detectors, temperature, rate_scale):
+    """s_r of each detector, in order, for detectors that differ only in
+    v_coupling. The baseline floor reads no v_coupling, so one search
+    serves them all; it is made where s_r makes it, after the first
+    detector's dual-probe noise."""
+    floor = None
+    for params in detectors:
+        pt = _thermalized(params, temperature, rate_scale)
+        dual = s_add(pt, omega_eff(pt.omega_m1, pt.v_coupling)).s_add
+        if floor is None:
+            floor = som_noise_floor(pt)
+        yield floor / dual
 
 
 def _loglog_fit(noise, xi_normalized, b_values, convention):

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import optimize
 from .errors import ParameterError, StructureViolationError
+from .exact import Exact
 from .model import (chi_cavity, chi_cavity_conj, chi_mech, frequency_grid,
                     omega_eff)
 from .coefficients import solve_coefficients
@@ -92,6 +93,27 @@ def minimize_over_g_analytic(params, omega):
                         g_opt=(p / q) ** 0.25)
 
 
+def _s_sql(params, omega):
+    """minimize_over_g_analytic(params, omega).s_sql; for an Exact
+    frequency array, a float array equal to it point by point, bit for bit.
+
+    An array point that fails the balance test or is not finite is redone
+    alone, in grid order, so it keeps the scalar value or raises the scalar
+    route's own error.
+    """
+    if not isinstance(omega, Exact):
+        return minimize_over_g_analytic(params, omega).s_sql
+    _require_t0(params)
+    with np.errstate(all="ignore"):
+        p, q, r = map(np.asarray, _shot_backaction(params, omega))
+        # np.sqrt rounds as math.sqrt does
+        s = 2.0 * np.sqrt(p * q) + r
+        redo = np.flatnonzero(~((p > 0) & (q > 0) & np.isfinite(s)))
+    for i in redo:
+        s[i] = minimize_over_g_analytic(params, omega.value[i]).s_sql
+    return s
+
+
 def minimize_over_g_numeric(params, omega, g_range):
     """Minimize the solver's s_add over real g: scan, then golden section.
 
@@ -132,8 +154,12 @@ def _shot_backaction(params, omega):
 
     With theta = 0 the ratios A/E and B/E are each alpha/g + beta g, where
     alpha and beta do not depend on g; the dual-probe analogue of som_sql.
+    ``omega`` may be an Exact frequency array; p, q and r are then Exact
+    arrays, every value equal bit for bit to the call at that frequency.
     """
-    omega = float(omega)  # numpy scalars round complex arithmetic differently
+    if not isinstance(omega, Exact):
+        # a numpy scalar would round the complex arithmetic differently
+        omega = float(omega)
     xc = chi_cavity(omega, params.delta_prime, params.kappa)
     xcd = chi_cavity_conj(omega, params.delta_prime, params.kappa)
     x1 = chi_mech(omega, params.omega_m1, params.gamma1)
@@ -159,9 +185,16 @@ def r_factors(params, omega):
     """Quantum-limit ratios against the two reference scenarios.
 
     r1 divides by the single-oscillator limit at omega_m; r2 divides by the
-    uncoupled (v = 0) dual limit at omega_m.
+    uncoupled (v = 0) dual limit at omega_m. ``omega`` may be an Exact
+    frequency array; the ratios are then float arrays, each value equal bit
+    for bit to the call at that frequency alone.
     """
-    num = minimize_over_g_analytic(params, omega).s_sql
+    if isinstance(omega, Exact) and omega.value.size:
+        # the first frequency alone raises what a loop over the points
+        # would raise first: its own optimum's error, a reference limit's,
+        # or the division by a zero limit
+        r_factors(params, omega.value[0])
+    num = _s_sql(params, omega)
     den1 = som_sql(params.omega_m1, params.gamma1, params.kappa,
                    params.omega_m1)
     den2 = minimize_over_g_analytic(replace(params, v_coupling=0.0),
@@ -194,17 +227,19 @@ def _unit_crossings(omegas, logvals):
 
 
 def r_map(params, omega_grid, v_grid):
-    """log10 of both ratios on an omega x v grid, with unit-contour crossings."""
+    """log10 of both ratios on an omega x v grid, with unit-contour crossings.
+
+    Each v row is one r_factors call on the omega grid as an Exact array.
+    """
     omega_grid = tuple(float(w) for w in omega_grid)
     v_grid = tuple(float(v) for v in v_grid)
+    omegas = Exact(np.array(omega_grid, dtype=float))
     rows1, rows2, cr1, cr2 = [], [], [], []
     for v in v_grid:
-        pv = replace(params, v_coupling=v)
-        l1, l2 = [], []
-        for w in omega_grid:
-            rf = r_factors(pv, w)
-            l1.append(math.log10(rf["r1"]))
-            l2.append(math.log10(rf["r2"]))
+        rf = r_factors(replace(params, v_coupling=v), omegas)
+        # math.log10 point by point, as the scalar route takes it
+        l1 = list(map(math.log10, rf["r1"].tolist()))
+        l2 = list(map(math.log10, rf["r2"].tolist()))
         rows1.append(tuple(l1))
         rows2.append(tuple(l2))
         cr1.append(_unit_crossings(omega_grid, l1))
@@ -267,12 +302,20 @@ def s_min_sweep(template, param, values, mode="fixed_g", grid="figure"):
             skipped.append((v, str(exc)))
             continue
 
+        # the objective, and the same values over a grid in one array
+        # evaluation, equal to it bit for bit
         if mode == "fixed_g":
             def objective(w, pv=pv):
                 return s_add(pv, w).s_add
+
+            def on_grid(ws, pv=pv):
+                return spectrum_sweep(pv, ws).s_add
         else:
             def objective(w, pv=pv):
                 return minimize_over_g_analytic(pv, w).s_sql
+
+            def on_grid(ws, pv=pv):
+                return _s_sql(pv, Exact(ws))
 
         if grid == "figure":
             k, fk = optimize.scan_min(objective, figure_grid)
@@ -284,10 +327,7 @@ def s_min_sweep(template, param, values, mode="fixed_g", grid="figure"):
             fine = frequency_grid(centers, lw,
                                   (SWEEP_SPAN[0] * scale, SWEEP_SPAN[1] * scale),
                                   201)
-            # fixed_g scans the grid in one array solve, equal bit for bit
-            # to s_add point by point; the polish calls s_add
-            on_grid = (None if mode == "sql" else
-                       lambda ws, pv=pv: spectrum_sweep(pv, ws).s_add)
+            # the scan runs on_grid; the polish calls the objective
             w_at, s_at, edge = optimize.scan_then_golden(objective, fine,
                                                          f_grid=on_grid)
 

@@ -130,6 +130,16 @@ class TestExitCodes:
         assert err.startswith("usage error:") and key in err
         assert not (tmp_path / "validate_report.json").exists()
 
+    @pytest.mark.parametrize("value", ["si", "omega_m"])
+    def test_validate_takes_no_units_key(self, tmp_path, capsys, value):
+        # validate reads no rate, so units would rescale nothing
+        rc = main(["validate", "--set", "units=" + value,
+                   "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage error: unknown config key 'units'")
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command, setting, key", [
         ("sweep", "points=3.7", "points"),
         ("sql-map", "omega_points=5.5", "omega_points"),
@@ -172,7 +182,13 @@ class TestExitCodes:
         ("snr", ["b_hi=1e200"], "Overflow"),
         # field/100 underflows to zero while xi * field does not
         ("snr", ["current=1e10", "probe_size=1e10", "field=5e-324"],
-         "field/100")])
+         "field/100"),
+        # the refined sql scan runs on arrays and keeps the scalar errors
+        ("sweep", ["mode=sql", "grid=refined", "delta_prime=-1e308"],
+         "ZeroDivision"),
+        ("sweep", ["mode=sql", "grid=refined", "gamma=1e308"], "Overflow"),
+        ("sweep", ["mode=sql", "grid=refined", "kappa=1e-300"],
+         "NaN or inf")])
     def test_value_outside_domain_is_one(self, tmp_path, capsys, command,
                                          settings, word):
         argv = [command, "--out", str(tmp_path)]

@@ -136,6 +136,18 @@ class TestEnhancementFactor:
                 s_r(params(v_coupling=v), temperature, W_SI)
         assert len(grids) == 9
 
+    def test_coupling_table_searches_the_floor_once(self, monkeypatch):
+        # the floor reads no v, so the s_r_vs_v table needs one search
+        vs = np.linspace(0.02, 0.4, 20).tolist()
+        want = [s_r(params(v_coupling=v), 1e-3, W_SI) for v in vs]
+        floor, calls = sensing.som_noise_floor, []
+        monkeypatch.setattr(sensing, "som_noise_floor",
+                            lambda p: calls.append(p) or floor(p))
+        got = list(sensing._s_r_each((params(v_coupling=v) for v in vs),
+                                     1e-3, W_SI))
+        assert got == want
+        assert len(calls) == 1
+
     def test_room_temperature_limit(self):
         assert s_r(params(), 300.0, W_SI) == pytest.approx(2.0, rel=0.05)
 

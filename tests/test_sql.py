@@ -12,8 +12,24 @@ from omdp_sense import (DetectorParams, ParameterError,
                         s_add, s_min_sweep, som_sql)
 from omdp_sense.checks import (random_t0, reference_params as params,
                                s_add_in_g)
+from omdp_sense.cli import PANELS
+from omdp_sense.exact import Exact
 from omdp_sense.optimize import golden_min, log_grid, scan_then_golden
-from omdp_sense.sql import _shot_backaction
+from omdp_sense.sql import _s_sql, _shot_backaction
+
+
+def checked_scans(monkeypatch):
+    """Make every scan_then_golden call assert that its f_grid gives the
+    values of f point by point; returns the list of grids scanned."""
+    scan, grids = sql.optimize.scan_then_golden, []
+
+    def checked(f, xs, f_grid):
+        grids.append(xs)
+        assert (np.asarray(f_grid(xs)).tolist()
+                == [f(w) for w in xs.tolist()])
+        return scan(f, xs, f_grid)
+    monkeypatch.setattr(sql.optimize, "scan_then_golden", checked)
+    return grids
 
 
 # frozen reference limits at omega = omega_m
@@ -122,6 +138,54 @@ class TestAnalyticMinimizer:
         assert r_scaled["r2"] == pytest.approx(r_base["r2"], rel=1e-9)
 
 
+class TestArrayOptimum:
+    """The T = 0 optimum on an Exact frequency array against
+    minimize_over_g_analytic point by point, bit for bit."""
+
+    def test_equals_scalar_on_random_sets(self):
+        rng = np.random.default_rng(4113)
+        for _ in range(100):
+            p, w = random_t0(rng)
+            wm = p.omega_m1
+            ws = np.concatenate(([w], np.linspace(0.8, 1.3, 302) * wm))
+            got = _s_sql(p, Exact(ws)).tolist()
+            assert got == [minimize_over_g_analytic(p, x).s_sql
+                           for x in ws.tolist()]
+
+    @pytest.mark.parametrize("panel", sorted(PANELS))
+    def test_equals_scalar_on_refined_scan_grids(self, monkeypatch, panel):
+        name, lo, hi, points, spacing = PANELS[panel]
+        values = (np.geomspace if spacing == "log" else np.linspace)(
+            lo, hi, points)
+        grids = checked_scans(monkeypatch)
+        sw = s_min_sweep(params(), name, values, mode="sql", grid="refined")
+        assert len(grids) == len(sw.values) > 0
+
+    @pytest.mark.parametrize("fields", [
+        dict(delta_prime=-1e308),            # complex division by zero
+        dict(gamma1=1e308, gamma2=1e308),    # overflow
+        dict(kappa=1e-300),                  # not finite, no raise
+        # finite points, then one with no shot/back-action balance
+        dict(gamma1=1e-300, gamma2=1e-300, kappa=1e-150)])
+    def test_bad_points_keep_scalar_values_and_errors(self, fields):
+        p = params(**fields)
+        ws = np.linspace(0.9, 1.15, 41)
+        want, first = [], None
+        for w in ws.tolist():
+            try:
+                want.append(minimize_over_g_analytic(p, w).s_sql)
+            except (ArithmeticError, StructureViolationError) as exc:
+                first = exc
+                break
+        if first is None:
+            got = _s_sql(p, Exact(ws)).tolist()
+            assert np.array_equal(got, want, equal_nan=True)
+        else:
+            with pytest.raises(type(first)) as exc:
+                _s_sql(p, Exact(ws))
+            assert str(exc.value) == str(first)
+
+
 class TestNumericMinimizer:
     def test_boundary_flagged(self):
         # s_add rises with g above the optimum, so the range's low end wins
@@ -199,6 +263,30 @@ class TestRFactors:
 
 
 class TestRMap:
+    def test_rows_equal_point_by_point_loop(self):
+        omegas = np.linspace(0.9, 1.15, 101)
+        vs = np.linspace(0.0, 0.3, 13)
+        m = r_map(params(), omegas, vs)
+        for v, row1, row2 in zip(vs.tolist(), m.log10_r1, m.log10_r2):
+            rfs = [r_factors(params(v_coupling=v), w)
+                   for w in omegas.tolist()]
+            assert row1 == tuple(math.log10(rf["r1"]) for rf in rfs)
+            assert row2 == tuple(math.log10(rf["r2"]) for rf in rfs)
+
+    @pytest.mark.parametrize("fields", [
+        dict(kappa=1e-300),  # a zero reference limit
+        dict(gamma1=5e-324, gamma2=5e-324, kappa=1e308),
+        dict(delta_prime=-1e308)])
+    def test_array_row_raises_what_the_loop_raises_first(self, fields):
+        p = params(**fields)
+        omegas = np.linspace(0.9, 1.15, 21)
+        with pytest.raises(ArithmeticError) as loop:
+            for w in omegas.tolist():
+                r_factors(p, w)
+        with pytest.raises(type(loop.value)) as row:
+            r_factors(p, Exact(omegas))
+        assert str(row.value) == str(loop.value)
+
     def grid_map(self):
         omegas = np.linspace(0.9, 1.15, 51)
         vs = np.linspace(0.0, 0.3, 7)
@@ -310,14 +398,7 @@ class TestSMinSweep:
         assert ref.s_min[0] < fig.s_min[0]
 
     def test_refined_scan_on_arrays_equals_scalar_scan(self, monkeypatch):
-        scan, grids = sql.optimize.scan_then_golden, []
-
-        def checked(f, xs, f_grid):
-            grids.append(xs)
-            assert (np.asarray(f_grid(xs)).tolist()
-                    == [f(w) for w in xs.tolist()])
-            return scan(f, xs, f_grid)
-        monkeypatch.setattr(sql.optimize, "scan_then_golden", checked)
+        grids = checked_scans(monkeypatch)
         s_min_sweep(self.template(), "v", [0.0, 0.1, 0.2, 0.47],
                     grid="refined")
         assert len(grids) == 4
