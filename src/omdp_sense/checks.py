@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import coefficients, spectra, sql
+from . import coefficients, optimize, spectra, sql
 from .model import DetectorParams
 
 
@@ -59,46 +59,69 @@ def _gated(errs, sets, gate, measure="rel_err"):
     return {"worst_" + measure: worst, "sets": sets, "pass": worst < gate}
 
 
+def _blocks(rng, sets, draw, points=1):
+    """The sets of a check, drawn in validate's order by draw(rng), in
+    lists of at most POINT_BLOCK points at ``points`` points a set."""
+    size = max(1, spectra.POINT_BLOCK // points)
+    for lo in range(0, sets, size):
+        yield [draw(rng) for _ in range(min(size, sets - lo))]
+
+
+def _solved(block):
+    """Solve a block of (detector, frequency) sets as one batch; its
+    coefficient arrays as lists of Python complex numbers."""
+    ps, ws = zip(*block)
+    co = coefficients.solve_coefficients(ps, np.array(ws))
+    return (co.a_coef.tolist(), co.b_coef.tolist(), co.c_coef.tolist(),
+            co.d_coef.tolist())
+
+
+def _general_set(rng):
+    return random_params(rng), rng.uniform(0.1, 2.2)
+
+
 def coefficient_oracle(rng, sets):
     """Closed-form coefficients A to D against the solver's."""
     errs = []
-    for _ in range(sets):
-        p = random_params(rng)
-        w = rng.uniform(0.1, 2.2)
-        cf = coefficients.closed_form_coefficients(p, w)
-        so = coefficients.solve_coefficients(p, w)
-        errs += [rel(cf.a_coef, so.a_coef), rel(cf.b_coef, so.b_coef),
-                 rel(cf.c_coef, so.c_coef), rel(cf.d_coef, so.d_coef)]
+    for block in _blocks(rng, sets, _general_set):
+        for (p, w), a, b, c, d in zip(block, *_solved(block)):
+            cf = coefficients.closed_form_coefficients(p, w)
+            errs += [rel(cf.a_coef, a), rel(cf.b_coef, b),
+                     rel(cf.c_coef, c), rel(cf.d_coef, d)]
     return {"coefficient_oracle": _gated(errs, sets, 1e-9)}
 
 
 def exchange_symmetry(rng, sets):
     """Swapping the two oscillators swaps C and D and keeps A and B."""
     errs = []
-    for _ in range(sets):
-        p = random_params(rng)
-        w = rng.uniform(0.1, 2.2)
-        ps = replace(p, omega_m1=p.omega_m2, omega_m2=p.omega_m1,
-                     gamma1=p.gamma2, gamma2=p.gamma1)
-        co = coefficients.solve_coefficients(p, w)
-        cs = coefficients.solve_coefficients(ps, w)
-        errs += [rel(co.c_coef, cs.d_coef), rel(co.d_coef, cs.c_coef),
-                 rel(co.a_coef, cs.a_coef), rel(co.b_coef, cs.b_coef)]
+    for block in _blocks(rng, sets, _general_set):
+        swapped = [(replace(p, omega_m1=p.omega_m2, omega_m2=p.omega_m1,
+                            gamma1=p.gamma2, gamma2=p.gamma1), w)
+                   for p, w in block]
+        for a, b, c, d, sa, sb, sc, sd in zip(*_solved(block),
+                                              *_solved(swapped)):
+            errs += [rel(c, sd), rel(d, sc), rel(a, sa), rel(b, sb)]
     return {"exchange_symmetry": _gated(errs, sets, 1e-9)}
+
+
+def _halving_set(rng):
+    p = random_params(rng)
+    wm = p.omega_m1
+    p = replace(p, omega_m2=wm, gamma2=p.gamma1,
+                v_coupling=min(p.v_coupling, 0.9 * wm),
+                nth1=rng.uniform(0.0, 100.0))
+    return replace(p, nth2=p.nth1), rng.uniform(0.5, 1.5) * wm
 
 
 def thermal_halving(rng, sets):
     """Identical thermal oscillators add gamma nth / 2 at any frequency."""
     errs = []
-    for _ in range(sets):
-        p = random_params(rng)
-        wm = p.omega_m1
-        p = replace(p, omega_m2=wm, gamma2=p.gamma1,
-                    v_coupling=min(p.v_coupling, 0.9 * wm),
-                    nth1=rng.uniform(0.0, 100.0))
-        p = replace(p, nth2=p.nth1)
-        w = rng.uniform(0.5, 1.5) * wm
-        errs.append(rel(spectra.s_add(p, w).s_th, p.gamma1 * p.nth1 / 2.0))
+    for block in _blocks(rng, sets, _halving_set):
+        ps, ws = zip(*block)
+        sth = spectra._noise(ps, coefficients.solve_coefficients(
+            ps, np.array(ws)))[1]
+        errs += [rel(s, p.gamma1 * p.nth1 / 2.0)
+                 for p, s in zip(ps, np.asarray(sth).tolist())]
     return {"thermal_halving": _gated(errs, sets, 1e-12)}
 
 
@@ -109,13 +132,17 @@ def coupling_optimum(rng, sets):
     the g range; it belongs in a sidecar manifest, not in the report.
     """
     fits, errs, at_boundary = [], [], 0
-    for _ in range(sets):
-        p, w = random_t0(rng)
-        an = sql.minimize_over_g_analytic(p, w)
-        fits.append(sql.fit_shot_backaction(s_add_in_g(p), w, an.g_opt)[3])
-        nu = sql.minimize_over_g_numeric(p, w, sql.default_g_range(p))
-        errs.append(rel(an.s_sql, nu.s_sql))
-        at_boundary += nu.at_boundary
+    scan = len(optimize.log_grid(*sql.DEFAULT_G_RANGE_FACTORS))  # a set's g
+    for block in _blocks(rng, sets, random_t0, scan):
+        ps, ws = zip(*block)
+        numeric = sql.minimize_over_g_numeric(
+            ps, ws, [sql.default_g_range(p) for p in ps])
+        for p, w, nu in zip(ps, ws, numeric):
+            an = sql.minimize_over_g_analytic(p, w)
+            fits.append(sql.fit_shot_backaction(s_add_in_g(p), w,
+                                                an.g_opt)[3])
+            errs.append(rel(an.s_sql, nu.s_sql))
+            at_boundary += nu.at_boundary
     return {"structure_fit": _gated(fits, sets, 1e-8, "residual"),
             "sql_cross_check": _gated(errs, sets, 1e-6),
             "at_boundary": at_boundary}
@@ -127,13 +154,19 @@ def resonant_reduction_deviation(rng, points):
     Draws nothing from rng; it takes one for CHECKS' uniform call.
     """
     p = reference_params(nth1=10.0, nth2=10.0)
-    ws = np.linspace(0.9, 1.1, points).tolist()
-    full = np.array([spectra.s_add(p, w).s_add for w in ws])
-    red = np.array([spectra.s_add_resonant(p, w) for w in ws])
+    ws = np.linspace(0.9, 1.1, points)
+    full = spectra.spectrum_sweep(p, ws).s_add
+    red = np.array([spectra.s_add_resonant(p, w) for w in ws.tolist()])
     devs = np.abs(red - full) / full
     return {"resonant_reduction_deviation": {
         "band": [0.9, 1.1], "median": float(np.median(devs)),
         "max": float(np.max(devs)), "gated": False}}
+
+
+def _complex_g_set(rng):
+    p = random_params(rng)
+    p = replace(p, g_lin=p.g_lin * np.exp(1j * rng.uniform(0.1, 3.0)))
+    return p, rng.uniform(0.5, 1.5)
 
 
 def b_variant(rng, sets):
@@ -143,14 +176,11 @@ def b_variant(rng, sets):
     and G^2 agree.
     """
     errs = {"conjugate": [], "direct": []}
-    for _ in range(sets):
-        p = random_params(rng)
-        p = replace(p, g_lin=p.g_lin * np.exp(1j * rng.uniform(0.1, 3.0)))
-        w = rng.uniform(0.5, 1.5)
-        so = coefficients.solve_coefficients(p, w)
-        for form in errs:
-            cf = coefficients.closed_form_coefficients(p, w, b_form=form)
-            errs[form].append(rel(cf.b_coef, so.b_coef))
+    for block in _blocks(rng, sets, _complex_g_set):
+        for (p, w), b in zip(block, _solved(block)[1]):
+            for form in errs:
+                cf = coefficients.closed_form_coefficients(p, w, b_form=form)
+                errs[form].append(rel(cf.b_coef, b))
     conj, direct = (float(np.max(errs[form])) for form in errs)
     return {"b_variant": {
         "worst_rel_err_conjugate": conj, "worst_rel_err_direct": direct,

@@ -7,20 +7,23 @@ it is the canonical path everywhere downstream. ``closed_form_coefficients``
 is the compact algebraic expression, valid for theta = 0 and equal couplings,
 kept as a fast cross-check of the solver.
 
-The solver also takes a 1-D array of frequencies, or at one frequency a 1-D
-array of couplings. It then eliminates all of them at once, with per point
-the pivots and the roundings of the scalar elimination, so the arrays it
+The solver also takes a batch of points: one detector per point, one
+frequency per point, one coupling per point, or any mix of these with
+shared values. It then eliminates all of them at once, with per point the
+pivots and the roundings of the scalar elimination, so the arrays it
 returns equal the scalar results bit for bit.
 """
 
 import cmath
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ParameterError, SingularSystemError
 from .exact import Exact
-from .model import chi_cavity, chi_cavity_conj, chi_mech
+from .model import (_REAL_FIELDS, _real_fields, chi_cavity, chi_cavity_conj,
+                    chi_mech)
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,59 @@ def _solve4_batched(m, rhs, n):
     return _back_substitute(a)
 
 
+def _batch_size(params, omega, g_lin):
+    """The number of points of a batch, or None for one point."""
+    sizes = set()
+    if isinstance(params, (list, tuple)):
+        sizes.add(len(params))
+    if isinstance(omega, np.ndarray):
+        if omega.ndim != 1:
+            raise ParameterError("frequencies must be a number or a 1-D array")
+        sizes.add(len(omega))
+    if g_lin is not None:
+        g = np.asarray(g_lin)
+        if g.ndim > 1 or not np.isfinite(g).all():
+            raise ParameterError(
+                "couplings must be finite, a number or a 1-D array")
+        if g.ndim:
+            sizes.add(len(g))
+        elif not sizes:
+            raise ParameterError(
+                "a coupling apart from the detector needs a batch; for one "
+                "point set it on the detector")
+    if len(sizes) > 1:
+        raise ParameterError("a batch's per-point inputs differ in length: %s"
+                             % sorted(sizes))
+    return sizes.pop() if sizes else None
+
+
+def _fields(params):
+    """The fields of one detector; for a sequence of detectors, one per
+    point, a namespace of their fields as Exact arrays over the points.
+
+    The detectors of a sequence must share theta: numpy's sin and cos do
+    not round as libm's do, so theta stays one Python number.
+    """
+    if not isinstance(params, (list, tuple)):
+        return params
+    if not params:
+        raise ParameterError("a batch needs at least one detector")
+    # each distinct detector is read once: a batch repeats its detectors
+    # over many frequencies or couplings
+    ids = np.fromiter(map(id, params), dtype=np.uint64, count=len(params))
+    _, first, at = np.unique(ids, return_index=True, return_inverse=True)
+    ones = [params[i] for i in first.tolist()]
+    reals = np.array(list(map(_real_fields, ones)), dtype=float)
+    theta = reals[:, _REAL_FIELDS.index("theta")].view(np.uint64)
+    if (theta != theta[0]).any():
+        raise ParameterError("the detectors of a batch must share theta")
+    fields = dict(zip(_REAL_FIELDS, map(Exact, reals[at].T.copy())))
+    fields["theta"] = ones[0].theta
+    fields["g_lin"] = Exact(np.array([p.g_lin for p in ones],
+                                     dtype=complex)[at])
+    return SimpleNamespace(**fields)
+
+
 def solve_coefficients(params, omega, g_lin=None):
     """Transfer coefficients from the eliminated response system.
 
@@ -124,41 +180,41 @@ def solve_coefficients(params, omega, g_lin=None):
     i[a_out^dag e^{-i theta} - a_out e^{i theta}] with
     a_out = sqrt(kappa) da - a_in.
 
-    ``omega`` is one frequency or a 1-D array of frequencies. ``g_lin``,
-    if given, is a 1-D array of couplings that stand in for
-    ``params.g_lin`` at one frequency. Either array gives coefficient
-    arrays, bit-identical to solving point by point.
+    One point, or a batch of n points: ``params`` is one detector or a
+    sequence of n detectors, ``omega`` one frequency or a 1-D array of n,
+    and ``g_lin``, if given, one coupling or a 1-D array of n that stand
+    in for the detectors' couplings. A value given once holds at every
+    point, and the detectors of a batch must share theta. A batch gives
+    coefficient arrays, bit-identical to solving point by point.
     """
-    batched = isinstance(omega, np.ndarray)
-    if batched:
-        if omega.ndim != 1:
-            raise ParameterError("frequencies must be a number or a 1-D array")
-        n = len(omega)
-        w = Exact(omega.astype(float))
-    else:
+    n = _batch_size(params, omega, g_lin)
+    if n is None:
         # a numpy scalar would round the complex arithmetic differently
         w = float(omega)
-    if g_lin is None:
         g1 = complex(params.g_lin)
     else:
-        g_lin = np.asarray(g_lin)
-        if batched or g_lin.ndim != 1 or not np.isfinite(g_lin).all():
-            raise ParameterError(
-                "couplings must be a finite 1-D array at one frequency")
-        batched = True
-        n = len(g_lin)
-        g1 = Exact(g_lin.astype(complex))
+        params = _fields(params)
+        w = (Exact(omega.astype(float)) if isinstance(omega, np.ndarray)
+             else float(omega))
+        if g_lin is not None:
+            g1 = np.asarray(g_lin)
+            g1 = Exact(g1.astype(complex)) if g1.ndim else complex(g1)
+        else:
+            g1 = params.g_lin
+            g1 = g1 if isinstance(g1, Exact) else complex(g1)
     xc = chi_cavity(w, params.delta_prime, params.kappa)
     xcd = chi_cavity_conj(w, params.delta_prime, params.kappa)
     x1 = chi_mech(w, params.omega_m1, params.gamma1)
     x2 = chi_mech(w, params.omega_m2, params.gamma2)
     g2 = g1  # single drive, shared coupling
     v = params.v_coupling
+    # a batch takes every entry as a complex array, as complex() would
+    vc = complex(v) if n is None else v
     m = (
         (1.0 / xc, 0j, -1j * g1, -1j * g2),
         (0j, 1.0 / xcd, 1j * g1.conjugate(), 1j * g2.conjugate()),
-        (-g1.conjugate(), -g1, 1.0 / x1, complex(v)),
-        (-g2.conjugate(), -g2, complex(v), 1.0 / x2),
+        (-g1.conjugate(), -g1, 1.0 / x1, vc),
+        (-g2.conjugate(), -g2, vc, 1.0 / x2),
     )
     sk = params.kappa ** 0.5
     rhs = (
@@ -167,7 +223,7 @@ def solve_coefficients(params, omega, g_lin=None):
         (0j, 0j, 1.0 + 0j, 0j),
         (0j, 0j, 0j, 1.0 + 0j),
     )
-    x = _solve4_batched(m, rhs, n) if batched else _solve4(m, rhs)
+    x = _solve4(m, rhs) if n is None else _solve4_batched(m, rhs, n)
     xa, xad = x[0], x[1]
     ep = cmath.exp(1j * params.theta)
     em = ep.conjugate()
@@ -177,7 +233,7 @@ def solve_coefficients(params, omega, g_lin=None):
     d = 1j * (sk * xad[3] * em - sk * xa[3] * ep)
     de = 1j * (v ** 2 * x1 * x2 - 1.0) + abs(g1) ** 2 * (xc - xcd) * (
         2.0 * v * x1 * x2 - x1 - x2)
-    if batched:
+    if n is not None:
         a, b, c, d, de = (np.asarray(z) for z in (a, b, c, d, de))
     return OutputCoefficients(a, b, c, d, c + d, de)
 

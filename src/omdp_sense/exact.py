@@ -13,14 +13,14 @@ do not:
   (``_Py_c_quot``); numpy's division rounds differently;
 - complex ``abs``: CPython calls ``hypot`` on the two parts; numpy's
   modulus differs in about a third of random values;
-- ``x ** 2``: on floats CPython calls libm ``pow``, where numpy squares;
-  on complex numbers it forms ``(1+0j) * (z*z)``.
+- powers: on floats CPython calls libm ``pow``, where numpy squares or
+  takes a square root; on complex numbers ``z ** 2`` is ``(1+0j) * (z*z)``.
 
 ``Exact`` wraps a numpy array and gives it these operators, so the scalar
 formulas of the package (susceptibilities, coefficient assembly, noise,
-the T = 0 shot/back-action terms) evaluate on frequency arrays unchanged
-and with CPython's rounding, while the scalar route keeps running on plain
-Python numbers at no extra cost.
+the T = 0 shot/back-action terms) evaluate on arrays of frequencies,
+couplings or detector fields unchanged and with CPython's rounding, while
+the scalar route keeps running on plain Python numbers at no extra cost.
 """
 
 import numpy as np
@@ -73,7 +73,8 @@ class Exact:
     """A float or complex numpy array with CPython-rounded arithmetic.
 
     Supports +, -, *, / against Python numbers and other ``Exact`` values,
-    unary -, ``conjugate()``, ``.real``, ``abs``, and ``** 2``. ``bool``
+    unary -, ``conjugate()``, ``.real``, ``abs``, and ``**``: any real
+    exponent on a float array, ``2`` on a complex one. ``bool``
     is true when no element is zero, as a scalar is true when it is nonzero.
     ``np.asarray`` returns the wrapped array.
     """
@@ -129,12 +130,14 @@ class Exact:
         return Exact(np.hypot(v.real, v.imag) if _is_complex(v) else np.abs(v))
 
     def __pow__(self, exponent):
+        v = self.value
+        if not _is_complex(v):
+            # libm pow, as CPython's float power calls it (a negative base
+            # with a fractional exponent, which CPython makes complex, aside)
+            return Exact(np.float_power(v, float(exponent)))
         if exponent != 2:
             return NotImplemented
-        v = self.value
-        if _is_complex(v):
-            # CPython's integer power (c_powi) forms (1+0j) * (z*z), which
-            # differs from z*z in the sign of a zero part and on inf; where
-            # CPython raises OverflowError for an infinite part, the inf stays
-            return Exact(_mul(1 + 0j, _mul(v, v)))
-        return Exact(np.float_power(v, 2.0))
+        # CPython's integer power (c_powi) forms (1+0j) * (z*z), which
+        # differs from z*z in the sign of a zero part and on inf; where
+        # CPython raises OverflowError for an infinite part, the inf stays
+        return Exact(_mul(1 + 0j, _mul(v, v)))

@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ParameterError
+from .exact import Exact
 
 HBAR = 1.054571817e-34  # J s
 KB = 1.380649e-23       # J / K
@@ -77,9 +78,16 @@ _REAL_FIELDS = tuple(f.name for f in fields(DetectorParams)
 _real_fields = operator.attrgetter(*_REAL_FIELDS)
 
 
+def _nonpositive(rate):
+    # a rate is a number, or an Exact array of one rate per point
+    if isinstance(rate, Exact):
+        return bool((rate.value <= 0).any())
+    return rate <= 0
+
+
 def chi_cavity(omega, delta_prime, kappa):
     """Cavity response 1/(i(delta' - omega) + kappa/2)."""
-    if kappa <= 0:
+    if _nonpositive(kappa):
         raise ParameterError("kappa must be positive")
     return 1.0 / (1j * (delta_prime - omega) + kappa / 2.0)
 
@@ -89,14 +97,14 @@ def chi_cavity_conj(omega, delta_prime, kappa):
 
     Equals conj(chi_cavity(-omega)) for real omega.
     """
-    if kappa <= 0:
+    if _nonpositive(kappa):
         raise ParameterError("kappa must be positive")
     return 1.0 / (-1j * (delta_prime + omega) + kappa / 2.0)
 
 
 def chi_mech(omega, omega_m, gamma):
     """Mechanical response 1/(omega_m - omega^2/omega_m - i gamma omega/omega_m)."""
-    if omega_m <= 0 or gamma <= 0:
+    if _nonpositive(omega_m) or _nonpositive(gamma):
         raise ParameterError("omega_m and gamma must be positive")
     return 1.0 / (omega_m - omega ** 2 / omega_m - 1j * gamma * omega / omega_m)
 

@@ -1,12 +1,13 @@
 """Additional-noise spectra for the dual-probe detector and its single-probe baseline."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coefficients import solve_coefficients
-from .errors import ParameterError, TransductionAbsentError
+from .coefficients import _batch_size, _fields, solve_coefficients
+from .errors import (ParameterError, SingularSystemError,
+                     TransductionAbsentError)
 from .exact import Exact
 from .model import chi_mech
 
@@ -14,6 +15,11 @@ from .model import chi_mech
 # the per-call overhead, small enough that the block's temporaries stay a
 # few megabytes
 SOLVE_BLOCK = 8192
+
+# points per solve in _s_add_each and in validate's batched checks: a
+# per-point batch carries every detector field as an array; blocks of 1024
+# raise no job's peak memory above what blocks of 64 to 512 give
+POINT_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -45,19 +51,47 @@ def s_add(params, omega):
 
 
 def _noise(params, co):
-    """(S_add, S_th) from the output coefficients.
+    """(S_add, S_th) from the output coefficients and the detector, or the
+    sequence of detectors, they were solved for.
 
-    At one frequency the results are floats; for coefficient arrays they
-    are Exact arrays, rounded as the scalar evaluation rounds each point.
+    At one point the results are floats; for coefficient arrays they are
+    Exact arrays, rounded as the scalar evaluation rounds each point.
     """
     a, b, c, d, e = co.a_coef, co.b_coef, co.c_coef, co.d_coef, co.e_coef
     if isinstance(e, np.ndarray):
         a, b, c, d, e = (Exact(z) for z in (a, b, c, d, e))
     if not e:
         raise TransductionAbsentError("output transduction vanished")
-    sth = _thermal(params, c / e, d / e)
+    sth = _thermal(_fields(params), c / e, d / e)
     quantum = 0.5 * (abs(a / e) ** 2 + abs(b / e) ** 2)
     return quantum + sth, sth
+
+
+def _s_add_each(params, omega, g_lin=None):
+    """s_add(...).s_add at every point of a batch, taken as
+    solve_coefficients takes one: a float array, equal bit for bit to
+    calling s_add point by point.
+
+    The batch is solved POINT_BLOCK points at a time. A point whose value
+    is not finite, and every point of a block whose solve raises, is redone
+    alone through s_add, in point order, so it keeps the scalar value or
+    the batch raises what the point-by-point loop raises first.
+    """
+    inputs = (params, omega, g_lin)
+    each = [isinstance(x, (list, tuple)) or np.ndim(x) == 1 for x in inputs]
+    out = np.empty(_batch_size(*inputs))
+    for lo in range(0, len(out), POINT_BLOCK):
+        part = slice(lo, lo + POINT_BLOCK)
+        p, w, g = (x[part] if e else x for x, e in zip(inputs, each))
+        try:
+            out[part] = _noise(p, solve_coefficients(p, w, g))[0]
+        except (ArithmeticError, SingularSystemError,
+                TransductionAbsentError):
+            out[part] = np.nan
+    for i in np.flatnonzero(~np.isfinite(out)).tolist():
+        p, w, g = (x[i] if e else x for x, e in zip(inputs, each))
+        out[i] = s_add(p if g is None else replace(p, g_lin=g), w).s_add
+    return out
 
 
 def _thermal(params, rc, rd):

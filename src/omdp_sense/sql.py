@@ -18,9 +18,8 @@ from .errors import ParameterError, StructureViolationError
 from .exact import Exact
 from .model import (chi_cavity, chi_cavity_conj, chi_mech, frequency_grid,
                     omega_eff)
-from .coefficients import solve_coefficients
-from .spectra import (_backaction_prefactor, _noise, _shot_prefactor, s_add,
-                      spectrum_sweep)
+from .spectra import (POINT_BLOCK, _backaction_prefactor, _s_add_each,
+                      _shot_prefactor, s_add, spectrum_sweep)
 
 DEFAULT_G_RANGE_FACTORS = (1e-4, 10.0)  # times the mechanical frequency
 
@@ -117,24 +116,41 @@ def _s_sql(params, omega):
 def minimize_over_g_numeric(params, omega, g_range):
     """Minimize the solver's s_add over real g: scan, then golden section.
 
-    The log grid over g_range (64 points a decade) is solved in one
-    coupling-array pass, equal bit for bit to s_add point by point; the
-    polish calls s_add. The result is flagged when the scan minimum sits on
-    the range boundary.
+    The log grid over g_range (64 points a decade) is solved as one batch,
+    equal bit for bit to s_add point by point; the polish calls s_add. The
+    result is flagged when the scan minimum sits on the range boundary.
+
+    ``params`` may also be a sequence of detectors, with ``omega`` and
+    ``g_range`` sequences of the same length, one set each: the scans of
+    all sets are then solved as one batch, and a tuple of results returned.
     """
-    lo, hi = g_range
-    if not 0 < lo < hi:
-        raise ParameterError("g_range must be positive and increasing")
+    batch = isinstance(params, (list, tuple))
+    if not batch:
+        sets = ((params, omega, g_range),)
+    elif len(params) == len(omega) == len(g_range) > 0:
+        sets = tuple(zip(params, omega, g_range))
+    else:
+        raise ParameterError("a batch needs detectors, each with one "
+                             "frequency and one g range")
+    grids = []
+    for _, _, (lo, hi) in sets:
+        if not 0 < lo < hi:
+            raise ParameterError("g_range must be positive and increasing")
+        grids.append(optimize.log_grid(lo, hi))
+    sizes = [len(xs) for xs in grids]
+    scans = np.split(_s_add_each(
+        [p for (p, _, _), k in zip(sets, sizes) for _ in range(k)],
+        np.repeat([float(w) for _, w, _ in sets], sizes),
+        np.concatenate(grids)), np.cumsum(sizes)[:-1])
+    out = []
+    for (p, w, _), xs, ys in zip(sets, grids, scans):
+        def at(g, p=p, w=w):
+            return s_add(replace(p, g_lin=g), w).s_add
 
-    def on_grid(gs):
-        return _noise(params, solve_coefficients(params, omega, g_lin=gs))[0]
-
-    def at(g):
-        return s_add(replace(params, g_lin=g), omega).s_add
-
-    xs = optimize.log_grid(lo, hi)
-    x, fx, at_boundary = optimize.scan_then_golden(at, xs, f_grid=on_grid)
-    return GMinNumeric(s_sql=fx, g_opt=x, at_boundary=at_boundary)
+        x, fx, at_boundary = optimize.scan_then_golden(
+            at, xs, f_grid=lambda _, ys=ys: ys)
+        out.append(GMinNumeric(s_sql=fx, g_opt=x, at_boundary=at_boundary))
+    return tuple(out) if batch else out[0]
 
 
 def default_g_range(params):
@@ -266,6 +282,24 @@ def _sweep_point(template, name, value):
     raise ParameterError("unknown sweep parameter %r" % (name,))
 
 
+def _figure_minima(detectors, grid):
+    """(index, value) of the minimum of s_add over grid for each detector,
+    as optimize.scan_min finds it point by point.
+
+    Whole rows are solved as one batch, up to POINT_BLOCK points at a time.
+    """
+    rows = max(1, POINT_BLOCK // len(grid))
+    out = []
+    for lo in range(0, len(detectors), rows):
+        block = detectors[lo:lo + rows]
+        values = _s_add_each([p for p in block for _ in range(len(grid))],
+                             np.tile(grid, len(block)))
+        for row in values.reshape(len(block), len(grid)):
+            k = int(np.argmin(row))
+            out.append((k, float(row[k])))
+    return out
+
+
 def s_min_sweep(template, param, values, mode="fixed_g", grid="figure"):
     """Minimal noise against one swept parameter.
 
@@ -293,15 +327,23 @@ def s_min_sweep(template, param, values, mode="fixed_g", grid="figure"):
     figure_grid = np.linspace(SWEEP_SPAN[0] * scale, SWEEP_SPAN[1] * scale,
                               SWEEP_POINTS)
 
-    out_v, out_s, out_w, out_g, skipped = [], [], [], [], []
-    at_boundary = 0
+    points, skipped, failure = [], [], None
     for v in vals:
         try:
-            pv = _sweep_point(template, param, v)
+            points.append((v, _sweep_point(template, param, v)))
         except ParameterError as exc:
             skipped.append((v, str(exc)))
-            continue
+        except ArithmeticError as exc:
+            # raised after the values before it are done, as a loop over
+            # the values would raise it
+            failure = exc
+            break
+    if grid == "figure" and mode == "fixed_g":
+        figure_minima = _figure_minima([pv for _, pv in points], figure_grid)
 
+    out_v, out_s, out_w, out_g = [], [], [], []
+    at_boundary = 0
+    for i, (v, pv) in enumerate(points):
         # the objective, and the same values over a grid in one array
         # evaluation, equal to it bit for bit
         if mode == "fixed_g":
@@ -318,8 +360,10 @@ def s_min_sweep(template, param, values, mode="fixed_g", grid="figure"):
                 return _s_sql(pv, Exact(ws))
 
         if grid == "figure":
-            k, fk = optimize.scan_min(objective, figure_grid)
-            w_at, s_at = float(figure_grid[k]), fk
+            k, s_at = (figure_minima[i] if mode == "fixed_g" else
+                       optimize.scan_min(objective, figure_grid,
+                                         f_grid=on_grid))
+            w_at = float(figure_grid[k])
             edge = k in (0, len(figure_grid) - 1)
         else:
             centers = [scale, omega_eff(scale, pv.v_coupling)]
@@ -337,6 +381,8 @@ def s_min_sweep(template, param, values, mode="fixed_g", grid="figure"):
         out_w.append(w_at)
         if mode == "sql":
             out_g.append(minimize_over_g_analytic(pv, w_at).g_opt)
+    if failure is not None:
+        raise failure
 
     return SweepResult(values=tuple(out_v), s_min=tuple(out_s),
                        omega_at_min=tuple(out_w),

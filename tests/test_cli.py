@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -200,6 +201,23 @@ class TestExitCodes:
         assert err.startswith("error:") and word in err
         assert "Traceback" not in err and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("gamma", ["1e-100", "1e-150", "1e-200",
+                                       "1e-300", "1e-308"])
+    @pytest.mark.parametrize("kappa", ["1e-5", "0.1", "1e3"])
+    def test_tiny_damping_sql_map_exits_cleanly(self, tmp_path, capsys,
+                                                gamma, kappa):
+        rc = main(["sql-map", "--set", "gamma=" + gamma,
+                   "--set", "kappa=" + kappa, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        if rc == 0:
+            header, rows = read_csv(tmp_path / "sql_map.csv")
+            cols = [header.index("log10_r1"), header.index("log10_r2")]
+            assert all(math.isfinite(r[j]) for r in rows for j in cols)
+        else:
+            assert rc == 1 and err.startswith("error:")
+            assert "Traceback" not in err and err.count("\n") == 1
+            assert not list(tmp_path.iterdir())
 
     def test_overflow_prints_no_numpy_warning(self, tmp_path, capsys):
         with warnings.catch_warnings():
@@ -544,6 +562,45 @@ class TestValidateCommand:
         doc = json.loads((tmp_path / "validate_report.json").read_text())
         assert rc == 1 and doc["data"]["all_pass"] is False
         assert doc["data"]["coefficient_oracle"]["pass"] is False
+
+
+class TestSolveCounts:
+    """Figure sweeps and validate's checks solve their points in batches;
+    points are solved one at a time only where a search or a fit probes
+    one coupling at a time."""
+
+    def count(self, monkeypatch, tmp_path, argv):
+        calls = {"scalar": 0, "batched": 0, "elsewhere": 0}
+        scalar, batched = coefficients._solve4, coefficients._solve4_batched
+
+        def counted_scalar(*args):
+            calls["scalar"] += 1
+            frame, names = sys._getframe(1), set()
+            while frame is not None:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            # golden_min holds the polish and its parabolic step
+            if not names & {"golden_min", "fit_shot_backaction"}:
+                calls["elsewhere"] += 1
+            return scalar(*args)
+
+        def counted_batched(*args):
+            calls["batched"] += 1
+            return batched(*args)
+        monkeypatch.setattr(coefficients, "_solve4", counted_scalar)
+        monkeypatch.setattr(coefficients, "_solve4_batched", counted_batched)
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        return calls
+
+    def test_sweep_solves_no_point_alone(self, monkeypatch, tmp_path):
+        calls = self.count(monkeypatch, tmp_path, ["sweep"])
+        assert calls["scalar"] == 0 and calls["batched"] >= 1
+
+    def test_validate_solves_alone_only_in_polish_and_fit(self, monkeypatch,
+                                                          tmp_path):
+        calls = self.count(monkeypatch, tmp_path, ["validate"])
+        assert calls["elsewhere"] == 0
+        assert 0 < calls["scalar"] < 2400 and calls["batched"] >= 1
 
 
 class TestManifestReruns:

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omdp_sense import (DetectorParams, ParameterError, SingularSystemError,
-                        TransductionAbsentError, frequency_grid, omega_eff,
+from omdp_sense import (DetectorParams, OmdpError, ParameterError,
+                        SingularSystemError, TransductionAbsentError,
+                        frequency_grid, omega_eff,
                         s_add, s_add_resonant, s_add_som, solve_coefficients,
                         spectrum_sweep)
 from omdp_sense.checks import random_params, random_t0, reference_params
 from omdp_sense.coefficients import _solve4, _solve4_batched
 from omdp_sense.exact import Exact
 from omdp_sense.optimize import log_grid
-from omdp_sense.spectra import SOLVE_BLOCK, _noise
+from omdp_sense.spectra import SOLVE_BLOCK, _noise, _s_add_each
 from omdp_sense.sql import _shot_backaction, default_g_range
 
 
@@ -339,9 +340,137 @@ class TestCouplingArrayRoute:
         for bad in (np.array([0.03, np.nan]), np.array([[0.03]]), 0.03):
             with pytest.raises(ParameterError):
                 solve_coefficients(params(), 1.05, g_lin=bad)
+        # per-point frequencies and couplings must agree in number
         with pytest.raises(ParameterError):
-            solve_coefficients(params(), np.array([1.0, 1.1]),
+            solve_coefficients(params(), np.array([1.0, 1.1, 1.2]),
                                g_lin=np.array([0.03, 0.04]))
+
+
+class TestPerPointBatch:
+    """One detector per point, with per-point or shared frequencies and
+    couplings, against solving and s_add point by point, bit for bit."""
+
+    def assert_identical(self, ps, omega, g_lin=None):
+        co = solve_coefficients(ps, omega, g_lin)
+        sadd, sth = (np.asarray(x) for x in _noise(ps, co))
+        each = _s_add_each(ps, omega, g_lin)
+        for i, p in enumerate(ps):
+            w = float(omega[i] if np.ndim(omega) else omega)
+            if g_lin is not None:
+                p = replace(p, g_lin=g_lin[i] if np.ndim(g_lin) else g_lin)
+            one = solve_coefficients(p, w)
+            for name in COEFFICIENTS:
+                assert getattr(co, name)[i] == getattr(one, name), (name, i)
+            ref = s_add(p, w)
+            assert sadd[i] == ref.s_add and sth[i] == ref.s_th, i
+            assert each[i] == ref.s_add, i
+
+    @pytest.mark.parametrize("omega_each", [True, False])
+    @pytest.mark.parametrize("g_lin", [None, "shared", "each"])
+    def test_random_detectors(self, omega_each, g_lin):
+        # theta != 0 shared, complex g, warm baths, unequal oscillators
+        rng = np.random.default_rng(7272)
+        for _ in range(20):
+            theta = rng.uniform(0.1, 3.0)
+            ps = [replace(random_general(rng), theta=theta) for _ in range(12)]
+            omega = rng.uniform(0.1, 2.5, 12 if omega_each else None)
+            gs = rng.uniform(1e-3, 0.3, 12) * np.exp(1j * rng.uniform(0, 3, 12))
+            self.assert_identical(ps, omega, {
+                None: None, "shared": complex(gs[0]), "each": gs}[g_lin])
+
+    def test_repeated_detectors_as_in_a_sweep(self):
+        # rows of one detector each, differing in one field only
+        grid = np.linspace(0.8, 1.3, 51)
+        ps = [params(v_coupling=v) for v in (0.0, 0.1, 0.2, 0.45)]
+        self.assert_identical([p for p in ps for _ in grid],
+                              np.tile(grid, len(ps)))
+        # one shared detector given per point
+        self.assert_identical([params()] * 51, grid)
+
+    def test_one_detector_with_frequencies_and_couplings(self):
+        ws = np.linspace(0.9, 1.2, 40)
+        gs = np.geomspace(1e-3, 0.3, 40)
+        co = solve_coefficients(params(), ws, gs)
+        got = _s_add_each(params(), ws, gs)
+        for i, (w, g) in enumerate(zip(ws.tolist(), gs.tolist())):
+            one = solve_coefficients(params(g_lin=g), w)
+            for name in COEFFICIENTS:
+                assert getattr(co, name)[i] == getattr(one, name), (name, i)
+            assert got[i] == s_add(params(g_lin=g), w).s_add
+
+    def test_blocks(self):
+        grid = np.linspace(0.9, 1.2, SOLVE_BLOCK + 3)
+        ps = [params(v_coupling=0.1), params(v_coupling=0.2)] * (len(grid) // 2)
+        ps.append(params())
+        got = _s_add_each(ps, grid)
+        for i in (0, 1, SOLVE_BLOCK - 1, SOLVE_BLOCK, len(grid) - 1):
+            assert got[i] == s_add(ps[i], float(grid[i])).s_add
+
+    def test_vanishing_transduction_raises_as_the_loop(self):
+        ps = [params(), params(g_lin=0.0), params(g_lin=0.05)]
+        ws = np.array([1.0, 1.05, 1.1])
+        with pytest.raises(TransductionAbsentError) as loop:
+            for p, w in zip(ps, ws.tolist()):
+                _noise(p, solve_coefficients(p, w))
+        with pytest.raises(TransductionAbsentError) as batch:
+            _noise(ps, solve_coefficients(ps, ws))
+        assert str(batch.value) == str(loop.value)
+        # s_add refuses g = 0 before it solves; so does the batch
+        with pytest.raises(TransductionAbsentError) as loop:
+            for p, w in zip(ps, ws.tolist()):
+                s_add(p, w)
+        with pytest.raises(TransductionAbsentError) as batch:
+            _s_add_each(ps, ws)
+        assert str(batch.value) == str(loop.value)
+        # and a zero among per-point couplings
+        with pytest.raises(TransductionAbsentError) as batch:
+            _s_add_each(params(), 1.05, np.array([0.03, 0.0, 0.1]))
+        assert str(batch.value) == str(loop.value)
+
+    @pytest.mark.parametrize("fields", [
+        dict(delta_prime=-1e308),           # complex division by zero
+        dict(gamma1=1e308, gamma2=1e308),   # overflow
+        dict(gamma1=1e200, gamma2=1e200),
+        dict(kappa=1e-300),                 # not finite, no raise
+        dict(delta_prime=1e154),            # transduction underflows
+        dict(g_lin=1e-300)])
+    def test_bad_point_keeps_scalar_value_or_error(self, fields):
+        # bad points among good ones, then g = 0, which s_add refuses: the
+        # batch raises whatever the loop raises first
+        ps = [params(), params(**fields), params(v_coupling=0.1, **fields),
+              params(g_lin=0.0)]
+        ws = np.array([1.0, 1.05, 1.1, 0.95])
+        want, first = [], None
+        for p, w in zip(ps, ws.tolist()):
+            try:
+                want.append(s_add(p, w).s_add)
+            except (ArithmeticError, OmdpError) as exc:
+                first = exc
+                break
+        with pytest.raises(type(first)) as exc:
+            with np.errstate(all="ignore"):
+                _s_add_each(ps, ws)
+        assert str(exc.value) == str(first)
+        with np.errstate(all="ignore"):
+            got = _s_add_each(ps[:len(want)], ws[:len(want)])
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_detectors_must_share_theta(self):
+        ps = [params(), params(theta=0.3)]
+        with pytest.raises(ParameterError, match="theta"):
+            solve_coefficients(ps, 1.05)
+        co = solve_coefficients(ps[:1] * 2, 1.05)
+        with pytest.raises(ParameterError, match="theta"):
+            _noise(ps, co)
+        with pytest.raises(ParameterError, match="theta"):
+            _s_add_each(ps, np.array([1.0, 1.1]))
+
+    def test_per_point_inputs_must_agree_in_length(self):
+        for args in (([params()] * 2, np.array([1.0, 1.1, 1.2])),
+                     ([params()] * 2, 1.05, np.array([0.03] * 3)),
+                     ([], 1.05)):
+            with pytest.raises(ParameterError):
+                solve_coefficients(*args)
 
 
 class TestParameterTypes:

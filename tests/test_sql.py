@@ -6,7 +6,8 @@ import pytest
 
 import omdp_sense.sql as sql
 from omdp_sense import (DetectorParams, ParameterError,
-                        StructureViolationError, default_g_range,
+                        StructureViolationError, TransductionAbsentError,
+                        default_g_range,
                         fit_shot_backaction, minimize_over_g_analytic,
                         minimize_over_g_numeric, omega_eff, r_factors, r_map,
                         s_add, s_min_sweep, som_sql)
@@ -14,8 +15,9 @@ from omdp_sense.checks import (random_t0, reference_params as params,
                                s_add_in_g)
 from omdp_sense.cli import PANELS
 from omdp_sense.exact import Exact
-from omdp_sense.optimize import golden_min, log_grid, scan_then_golden
-from omdp_sense.sql import _s_sql, _shot_backaction
+from omdp_sense.optimize import (golden_min, log_grid, scan_min,
+                                 scan_then_golden)
+from omdp_sense.sql import SWEEP_POINTS, SWEEP_SPAN, _s_sql, _shot_backaction
 
 
 def checked_scans(monkeypatch):
@@ -186,6 +188,22 @@ class TestArrayOptimum:
             assert str(exc.value) == str(first)
 
 
+    @pytest.mark.parametrize("gamma", [1e-100, 1e-150, 1e-200, 1e-300,
+                                       1e-308])
+    @pytest.mark.parametrize("kappa", [1e-5, 0.1, 1e3])
+    def test_tiny_damping_limit_is_positive_or_refused(self, gamma, kappa):
+        # the sql-map grid at defaults; a limit 2 sqrt(pq) + r <= 0 would
+        # give finite log10 ratios of two negative limits
+        ws = np.linspace(0.9, 1.15, 101)
+        for v in np.linspace(0.0, 0.3, 13).tolist():
+            p = params(gamma1=gamma, gamma2=gamma, kappa=kappa, v_coupling=v)
+            try:
+                s = _s_sql(p, Exact(ws))
+            except StructureViolationError:
+                continue
+            assert (s > 0).all(), v
+
+
 class TestNumericMinimizer:
     def test_boundary_flagged(self):
         # s_add rises with g above the optimum, so the range's low end wins
@@ -212,6 +230,25 @@ class TestNumericMinimizer:
             nu = minimize_over_g_numeric(p, w, g_range)
             assert (nu.g_opt, nu.s_sql, nu.at_boundary) == (x, fx, edge)
             assert type(nu.s_sql) is float and type(nu.g_opt) is float
+
+
+    def test_batch_equals_one_set_at_a_time(self, monkeypatch):
+        rng = np.random.default_rng(97)
+        sets = [random_t0(rng) for _ in range(12)]
+        ps, ws = zip(*sets)
+        ranges = [default_g_range(p) for p in ps]
+        one = tuple(minimize_over_g_numeric(p, w, r)
+                    for p, w, r in zip(ps, ws, ranges))
+        grids = checked_scans(monkeypatch)
+        assert minimize_over_g_numeric(ps, ws, ranges) == one
+        assert len(grids) == len(sets)
+
+    def test_batch_needs_a_frequency_and_range_per_detector(self):
+        p, w = params(), 1.0
+        for args in (([p, p], [w], [default_g_range(p)] * 2),
+                     ([p], [w], [default_g_range(p)] * 2), ([], [], [])):
+            with pytest.raises(ParameterError):
+                minimize_over_g_numeric(*args)
 
 
 class TestSomSql:
@@ -402,6 +439,48 @@ class TestSMinSweep:
         s_min_sweep(self.template(), "v", [0.0, 0.1, 0.2, 0.47],
                     grid="refined")
         assert len(grids) == 4
+
+    @pytest.mark.parametrize("mode, nth", [
+        ("fixed_g", 10.0), ("fixed_g", 0.0), ("sql", 0.0)])
+    @pytest.mark.parametrize("panel", sorted(PANELS) + ["unstable"])
+    def test_figure_grid_equals_point_by_point_loop(self, panel, mode, nth):
+        # the loop over values that the figure grid ran before it was
+        # solved as one batch: one scalar objective call per point
+        if panel == "unstable":
+            name, values = "v", np.linspace(0.0, 1.5, 31)  # v >= 1 skipped
+        else:
+            name, lo, hi, points, spacing = PANELS[panel]
+            values = (np.geomspace if spacing == "log" else np.linspace)(
+                lo, hi, points)
+        template = self.template(nth=nth)
+        grid = np.linspace(SWEEP_SPAN[0], SWEEP_SPAN[1], SWEEP_POINTS)
+        rows, skipped, edges = [], [], 0
+        for v in values.tolist():
+            try:
+                pv = sql._sweep_point(template, name, v)
+            except ParameterError as exc:
+                skipped.append((v, str(exc)))
+                continue
+            if mode == "fixed_g":
+                k, fk = scan_min(lambda w: s_add(pv, w).s_add, grid)
+            else:
+                k, fk = scan_min(
+                    lambda w: minimize_over_g_analytic(pv, w).s_sql, grid)
+            edges += k in (0, len(grid) - 1)
+            rows.append((v, fk, float(grid[k])))
+        sw = s_min_sweep(template, name, values, mode=mode)
+        assert tuple(zip(sw.values, sw.s_min, sw.omega_at_min)) == tuple(rows)
+        assert sw.skipped == tuple(skipped)
+        assert sw.at_boundary == edges
+        assert len(skipped) == (11 if panel == "unstable" else 0)
+
+    def test_errors_keep_the_order_of_the_values(self):
+        # the first value's scan raises before the second value's
+        # detector overflows; alone, the second value overflows
+        with pytest.raises(TransductionAbsentError), np.errstate(all="ignore"):
+            s_min_sweep(params(delta_prime=1e154), "v", [0.1, 1e200])
+        with pytest.raises(OverflowError):
+            s_min_sweep(params(), "v", [0.1, 1e200])
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ParameterError):
