@@ -1,10 +1,15 @@
-"""Deterministic scalar minimization: coarse scans plus golden-section polish."""
+"""Deterministic minimization: a scan whose values the caller supplies,
+then a golden-section polish through the scalar objective.
+
+Callers evaluate a scan grid on arrays, bit for bit equal to the objective
+point by point; this module picks the grid minimum and polishes its cell.
+"""
 
 import math
 
 import numpy as np
 
-from .errors import OmdpError
+from .errors import OmdpError, ParameterError
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -12,6 +17,9 @@ INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 # golden-section stopping rule: relative bracket width, iteration cap
 REL_TOL = 1e-10
 MAX_ITER = 400
+
+# coupling scan density, points per decade
+PER_DECADE = 64
 
 
 def golden_min(f, a, b):
@@ -54,27 +62,18 @@ def golden_min(f, a, b):
     return best_x, best_f
 
 
-def scan_min(f, xs, f_grid=None):
-    """Evaluate f on the grid xs and return (index, value) of the minimum.
+def scan_then_golden(f, xs, ys):
+    """Minimum over the grid xs, polished by golden section in its cell.
 
-    ``f_grid``, if given, evaluates the whole grid in one call and returns
-    an array of the values f would give point by point.
+    ``ys`` are the values of f on xs, computed by the caller (on arrays,
+    equal to f point by point); only the polish calls f. Returns
+    (x, fx, at_boundary) with fx a float; at_boundary is True when the scan
+    minimum sits on the first or last grid point, a sign the range may be
+    too narrow.
     """
-    vals = ([f(x) for x in xs] if f_grid is None
-            else np.asarray(f_grid(xs)).tolist())
-    k = int(np.argmin(vals))
-    return k, vals[k]
-
-
-def scan_then_golden(f, xs, f_grid=None):
-    """Grid scan followed by golden-section polish in the winning cell.
-
-    ``f_grid`` is passed on to ``scan_min``; the polish always calls f.
-    Returns (x, fx, at_boundary); at_boundary is True when the scan minimum
-    sits on the first or last grid point, a sign the range may be too narrow.
-    """
-    xs = np.asarray(xs, dtype=float)
-    k, fk = scan_min(f, xs, f_grid)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys)
+    k = int(np.argmin(ys))
+    fk = float(ys[k])
     at_boundary = k == 0 or k == len(xs) - 1
     lo = xs[max(k - 1, 0)]
     hi = xs[min(k + 1, len(xs) - 1)]
@@ -85,9 +84,9 @@ def scan_then_golden(f, xs, f_grid=None):
     return float(xs[k]), fk, at_boundary
 
 
-def log_grid(lo, hi, per_decade=64):
-    """Logarithmic grid with a fixed point density per decade."""
+def log_grid(lo, hi):
+    """Logarithmic coupling grid over [lo, hi], PER_DECADE points a decade."""
     if not 0 < lo < hi:
-        raise ValueError("need 0 < lo < hi")
-    n = max(int(math.ceil(per_decade * math.log10(hi / lo))) + 1, 2)
+        raise ParameterError("g_range must be positive and increasing")
+    n = max(int(math.ceil(PER_DECADE * math.log10(hi / lo))) + 1, 2)
     return np.geomspace(lo, hi, n)

@@ -95,8 +95,7 @@ def som_noise_floor(params):
                          abs(params.g_lin), params.nth1, w)
 
     grid = frequency_grid([wm], params.gamma1, (0.8 * wm, 1.3 * wm), 201)
-    _, fx, _ = optimize.scan_then_golden(f, grid,
-                                         f_grid=lambda ws: f(Exact(ws)))
+    _, fx, _ = optimize.scan_then_golden(f, grid, f(Exact(grid)))
     return fx
 
 

@@ -18,8 +18,8 @@ from .errors import ParameterError, StructureViolationError
 from .exact import Exact
 from .model import (chi_cavity, chi_cavity_conj, chi_mech, frequency_grid,
                     omega_eff)
-from .spectra import (POINT_BLOCK, _backaction_prefactor, _s_add_each,
-                      _shot_prefactor, s_add, spectrum_sweep)
+from .spectra import (_backaction_prefactor, _s_add_each, _shot_prefactor,
+                      s_add)
 
 DEFAULT_G_RANGE_FACTORS = (1e-4, 10.0)  # times the mechanical frequency
 
@@ -116,9 +116,10 @@ def _s_sql(params, omega):
 def minimize_over_g_numeric(params, omega, g_range):
     """Minimize the solver's s_add over real g: scan, then golden section.
 
-    The log grid over g_range (64 points a decade) is solved as one batch,
-    equal bit for bit to s_add point by point; the polish calls s_add. The
-    result is flagged when the scan minimum sits on the range boundary.
+    The log grid over g_range (optimize.PER_DECADE points a decade) is
+    solved as one batch, equal bit for bit to s_add point by point; the
+    polish calls s_add. The result is flagged when the scan minimum sits on
+    the range boundary.
 
     ``params`` may also be a sequence of detectors, with ``omega`` and
     ``g_range`` sequences of the same length, one set each: the scans of
@@ -132,11 +133,7 @@ def minimize_over_g_numeric(params, omega, g_range):
     else:
         raise ParameterError("a batch needs detectors, each with one "
                              "frequency and one g range")
-    grids = []
-    for _, _, (lo, hi) in sets:
-        if not 0 < lo < hi:
-            raise ParameterError("g_range must be positive and increasing")
-        grids.append(optimize.log_grid(lo, hi))
+    grids = [optimize.log_grid(*r) for _, _, r in sets]
     sizes = [len(xs) for xs in grids]
     scans = np.split(_s_add_each(
         [p for (p, _, _), k in zip(sets, sizes) for _ in range(k)],
@@ -147,8 +144,7 @@ def minimize_over_g_numeric(params, omega, g_range):
         def at(g, p=p, w=w):
             return s_add(replace(p, g_lin=g), w).s_add
 
-        x, fx, at_boundary = optimize.scan_then_golden(
-            at, xs, f_grid=lambda _, ys=ys: ys)
+        x, fx, at_boundary = optimize.scan_then_golden(at, xs, ys)
         out.append(GMinNumeric(s_sql=fx, g_opt=x, at_boundary=at_boundary))
     return tuple(out) if batch else out[0]
 
@@ -282,24 +278,6 @@ def _sweep_point(template, name, value):
     raise ParameterError("unknown sweep parameter %r" % (name,))
 
 
-def _figure_minima(detectors, grid):
-    """(index, value) of the minimum of s_add over grid for each detector,
-    as optimize.scan_min finds it point by point.
-
-    Whole rows are solved as one batch, up to POINT_BLOCK points at a time.
-    """
-    rows = max(1, POINT_BLOCK // len(grid))
-    out = []
-    for lo in range(0, len(detectors), rows):
-        block = detectors[lo:lo + rows]
-        values = _s_add_each([p for p in block for _ in range(len(grid))],
-                             np.tile(grid, len(block)))
-        for row in values.reshape(len(block), len(grid)):
-            k = int(np.argmin(row))
-            out.append((k, float(row[k])))
-    return out
-
-
 def s_min_sweep(template, param, values, mode="fixed_g", grid="figure"):
     """Minimal noise against one swept parameter.
 
@@ -339,41 +317,41 @@ def s_min_sweep(template, param, values, mode="fixed_g", grid="figure"):
             failure = exc
             break
     if grid == "figure" and mode == "fixed_g":
-        figure_minima = _figure_minima([pv for _, pv in points], figure_grid)
+        # every value's row in one batch
+        figure_rows = _s_add_each(
+            [pv for _, pv in points for _ in range(SWEEP_POINTS)],
+            np.tile(figure_grid, len(points))).reshape(-1, SWEEP_POINTS)
 
     out_v, out_s, out_w, out_g = [], [], [], []
     at_boundary = 0
     for i, (v, pv) in enumerate(points):
-        # the objective, and the same values over a grid in one array
-        # evaluation, equal to it bit for bit
-        if mode == "fixed_g":
-            def objective(w, pv=pv):
-                return s_add(pv, w).s_add
-
-            def on_grid(ws, pv=pv):
-                return spectrum_sweep(pv, ws).s_add
-        else:
-            def objective(w, pv=pv):
-                return minimize_over_g_analytic(pv, w).s_sql
-
-            def on_grid(ws, pv=pv):
-                return _s_sql(pv, Exact(ws))
-
+        # the grid and its values on arrays, equal to the objective point
+        # by point, bit for bit
         if grid == "figure":
-            k, s_at = (figure_minima[i] if mode == "fixed_g" else
-                       optimize.scan_min(objective, figure_grid,
-                                         f_grid=on_grid))
-            w_at = float(figure_grid[k])
-            edge = k in (0, len(figure_grid) - 1)
+            xs = figure_grid
         else:
             centers = [scale, omega_eff(scale, pv.v_coupling)]
             lw = min(pv.gamma1, pv.gamma2)
-            fine = frequency_grid(centers, lw,
-                                  (SWEEP_SPAN[0] * scale, SWEEP_SPAN[1] * scale),
-                                  201)
-            # the scan runs on_grid; the polish calls the objective
-            w_at, s_at, edge = optimize.scan_then_golden(objective, fine,
-                                                         f_grid=on_grid)
+            xs = frequency_grid(centers, lw,
+                                (SWEEP_SPAN[0] * scale, SWEEP_SPAN[1] * scale),
+                                201)
+        if mode == "sql":
+            ys = _s_sql(pv, Exact(xs))
+        elif grid == "figure":
+            ys = figure_rows[i]
+        else:
+            ys = _s_add_each(pv, xs)
+
+        if grid == "figure":
+            k = int(np.argmin(ys))
+            w_at, s_at = float(xs[k]), float(ys[k])
+            edge = k in (0, len(xs) - 1)
+        else:
+            def objective(w, pv=pv):
+                if mode == "sql":
+                    return minimize_over_g_analytic(pv, w).s_sql
+                return s_add(pv, w).s_add
+            w_at, s_at, edge = optimize.scan_then_golden(objective, xs, ys)
 
         at_boundary += edge
         out_v.append(v)

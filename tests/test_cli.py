@@ -569,7 +569,9 @@ class TestSolveCounts:
     points are solved one at a time only where a search or a fit probes
     one coupling at a time."""
 
-    def count(self, monkeypatch, tmp_path, argv):
+    def count(self, monkeypatch, tmp_path, argv,
+              alone=("golden_min", "fit_shot_backaction")):
+        # golden_min holds the polish and its parabolic step
         calls = {"scalar": 0, "batched": 0, "elsewhere": 0}
         scalar, batched = coefficients._solve4, coefficients._solve4_batched
 
@@ -579,8 +581,7 @@ class TestSolveCounts:
             while frame is not None:
                 names.add(frame.f_code.co_name)
                 frame = frame.f_back
-            # golden_min holds the polish and its parabolic step
-            if not names & {"golden_min", "fit_shot_backaction"}:
+            if not names.intersection(alone):
                 calls["elsewhere"] += 1
             return scalar(*args)
 
@@ -595,6 +596,15 @@ class TestSolveCounts:
     def test_sweep_solves_no_point_alone(self, monkeypatch, tmp_path):
         calls = self.count(monkeypatch, tmp_path, ["sweep"])
         assert calls["scalar"] == 0 and calls["batched"] >= 1
+
+    def test_refined_sweep_solves_alone_only_in_polish(self, monkeypatch,
+                                                       tmp_path):
+        # each value's scan is one batch; golden_min probes alone
+        calls = self.count(monkeypatch, tmp_path,
+                           ["sweep", "--set", "grid=refined"],
+                           alone=("golden_min",))
+        assert calls["elsewhere"] == 0
+        assert calls["scalar"] > 0 and calls["batched"] >= 1
 
     def test_validate_solves_alone_only_in_polish_and_fit(self, monkeypatch,
                                                           tmp_path):
@@ -630,11 +640,16 @@ class TestManifestReruns:
                (second / "sweep_a.json").read_bytes()
 
 
-# --set layers drawn at random: each run exits 0 with finite data files, or
-# exits 1 or 2 with one message line, no traceback and no file left behind;
-# a validate gate that fails exits 1 silently and keeps its report
+# settings drawn at random, as --set layers, as a key = value config file or
+# as one key of a real run's manifest: each run exits 0 with finite data
+# files, or exits 1 or 2 with one message line, no traceback and no file
+# left behind; a validate gate that fails exits 1 silently and keeps its
+# report
 FUZZED = ("spectrum", "sql-map", "sweep", "snr", "validate")
 JUNK = ("abc", "warm", "1,2", "0", "-1", "1e308", "-1e308", "nan", "inf", "")
+# values a manifest's JSON can hold that no text setting gives
+JSON_JUNK = (None, True, 0, -1, 1e308, float("nan"), float("inf"), [],
+             [1.0, "abc"], {})
 VALID = {
     "rate": st.floats(-2.0, 2.0),
     "real": st.floats(0.0, 1e3),
@@ -642,20 +657,23 @@ VALID = {
 }
 
 
-def _setting(command, key):
+def _value(command, key):
     default, kind = SCHEMA[command][key]
     if isinstance(kind, tuple):
-        value = st.sampled_from(kind + JUNK)
-    elif kind == "count":
+        return st.sampled_from(kind + JUNK)
+    if kind == "count":
         # counts stay small: a huge one is a memory request, not a value
-        value = st.integers(1, 50).map(str) | st.sampled_from(
+        return st.integers(1, 50).map(str) | st.sampled_from(
             ("0", "-3", "2.5", "abc", "nan", "1,2"))
-    else:
-        value = VALID[kind].map(repr) | st.sampled_from(JUNK)
-        if isinstance(default, tuple):
-            value = value | st.lists(VALID[kind].map(repr), min_size=1,
-                                     max_size=3).map(",".join)
-    return value.map(lambda v: "%s=%s" % (key, v))
+    value = VALID[kind].map(repr) | st.sampled_from(JUNK)
+    if isinstance(default, tuple):
+        value = value | st.lists(VALID[kind].map(repr), min_size=1,
+                                 max_size=3).map(",".join)
+    return value
+
+
+def _setting(command, key):
+    return _value(command, key).map(lambda v: "%s=%s" % (key, v))
 
 
 def _refuse(constant):
@@ -673,17 +691,8 @@ def _assert_finite(path):
                 assert isinstance(x, str) or math.isfinite(x), (path, row)
 
 
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_random_set_layers_exit_cleanly(data):
-    command = data.draw(st.sampled_from(FUZZED))
-    keys = st.sampled_from(sorted(SCHEMA[command]))
-    layer = data.draw(st.lists(keys.flatmap(
-        lambda key: _setting(command, key)), max_size=4))
-    fmt = data.draw(st.sampled_from(("csv", "json")))
-    argv = [command, "--format", fmt]
-    for setting in layer:
-        argv += ["--set", setting]
+def _assert_exits_cleanly(argv):
+    command = argv[0]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out:
         with contextlib.redirect_stderr(err), \
@@ -705,3 +714,55 @@ def test_random_set_layers_exit_cleanly(data):
     if rc:
         prefix = "error:" if rc == 1 else "usage error:"
         assert msg.startswith(prefix) and msg.count("\n") == 1, (argv, msg)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_random_set_layers_exit_cleanly(data):
+    command = data.draw(st.sampled_from(FUZZED))
+    keys = st.sampled_from(sorted(SCHEMA[command]))
+    layer = data.draw(st.lists(keys.flatmap(
+        lambda key: _setting(command, key)), max_size=4))
+    fmt = data.draw(st.sampled_from(("csv", "json")))
+    route = data.draw(st.sampled_from(("--set", "--config")))
+    argv = [command, "--format", fmt]
+    with tempfile.TemporaryDirectory() as tmp:
+        if route == "--set":
+            for setting in layer:
+                argv += ["--set", setting]
+        else:
+            # the same settings, one key = value line each
+            path = os.path.join(tmp, "layer.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("".join(s.replace("=", " = ", 1) + "\n"
+                                 for s in layer))
+            argv += ["--config", path]
+        _assert_exits_cleanly(argv)
+
+
+@pytest.fixture(scope="module")
+def manifests(tmp_path_factory):
+    """A manifest of a real run at defaults, per subcommand."""
+    out = {}
+    for command in FUZZED:
+        run = tmp_path_factory.mktemp(command)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "--out", str(run)]) == 0
+        out[command] = str(min(run.glob("*.manifest.json")))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_edited_manifest_reruns_exit_cleanly(manifests, data):
+    command = data.draw(st.sampled_from(FUZZED))
+    with open(manifests[command], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    key = data.draw(st.sampled_from(sorted(doc["parameters"])))
+    doc["parameters"][key] = data.draw(
+        _value(command, key) | st.sampled_from(JSON_JUNK))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "manifest.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        _assert_exits_cleanly([command, "--config", path])

@@ -122,19 +122,11 @@ class TestEnhancementFactor:
             T = occupation_temperature(W_SI, nth)
             assert s_r(params(), T, W_SI) == pytest.approx(want, rel=1e-9)
 
-    def test_floor_scan_on_arrays_equals_scalar_scan(self, monkeypatch):
-        scan, grids = sensing.optimize.scan_then_golden, []
-
-        def checked(f, xs, f_grid):
-            grids.append(xs)
-            assert (np.asarray(f_grid(xs)).tolist()
-                    == [f(w) for w in xs.tolist()])
-            return scan(f, xs, f_grid)
-        monkeypatch.setattr(sensing.optimize, "scan_then_golden", checked)
+    def test_floor_scan_on_arrays_equals_scalar_scan(self, checked_scans):
         for v in (0.02, 0.2, 0.4):
             for temperature in (1e-4, 1e-3, 300.0):
                 s_r(params(v_coupling=v), temperature, W_SI)
-        assert len(grids) == 9
+        assert len(checked_scans) == 9
 
     def test_coupling_table_searches_the_floor_once(self, monkeypatch):
         # the floor reads no v, so the s_r_vs_v table needs one search

@@ -15,23 +15,8 @@ from omdp_sense.checks import (random_t0, reference_params as params,
                                s_add_in_g)
 from omdp_sense.cli import PANELS
 from omdp_sense.exact import Exact
-from omdp_sense.optimize import (golden_min, log_grid, scan_min,
-                                 scan_then_golden)
+from omdp_sense.optimize import golden_min, log_grid, scan_then_golden
 from omdp_sense.sql import SWEEP_POINTS, SWEEP_SPAN, _s_sql, _shot_backaction
-
-
-def checked_scans(monkeypatch):
-    """Make every scan_then_golden call assert that its f_grid gives the
-    values of f point by point; returns the list of grids scanned."""
-    scan, grids = sql.optimize.scan_then_golden, []
-
-    def checked(f, xs, f_grid):
-        grids.append(xs)
-        assert (np.asarray(f_grid(xs)).tolist()
-                == [f(w) for w in xs.tolist()])
-        return scan(f, xs, f_grid)
-    monkeypatch.setattr(sql.optimize, "scan_then_golden", checked)
-    return grids
 
 
 # frozen reference limits at omega = omega_m
@@ -155,13 +140,12 @@ class TestArrayOptimum:
                            for x in ws.tolist()]
 
     @pytest.mark.parametrize("panel", sorted(PANELS))
-    def test_equals_scalar_on_refined_scan_grids(self, monkeypatch, panel):
+    def test_equals_scalar_on_refined_scan_grids(self, checked_scans, panel):
         name, lo, hi, points, spacing = PANELS[panel]
         values = (np.geomspace if spacing == "log" else np.linspace)(
             lo, hi, points)
-        grids = checked_scans(monkeypatch)
         sw = s_min_sweep(params(), name, values, mode="sql", grid="refined")
-        assert len(grids) == len(sw.values) > 0
+        assert len(checked_scans) == len(sw.values) > 0
 
     @pytest.mark.parametrize("fields", [
         dict(delta_prime=-1e308),            # complex division by zero
@@ -214,8 +198,11 @@ class TestNumericMinimizer:
         assert nu.g_opt == pytest.approx(lo, rel=1e-6)
 
     def test_bad_range_rejected(self):
-        with pytest.raises(ParameterError):
-            minimize_over_g_numeric(params(), 1.0, (0.0, 1.0))
+        for g_range in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.5), (1.0, 1.0)):
+            with pytest.raises(ParameterError, match="g_range"):
+                minimize_over_g_numeric(params(), 1.0, g_range)
+            with pytest.raises(ParameterError, match="g_range"):
+                log_grid(*g_range)
 
     def test_equals_scalar_evaluator_route(self):
         # the grid is solved as one coupling array; the result must be the
@@ -224,24 +211,27 @@ class TestNumericMinimizer:
         for _ in range(10):
             p, w = random_t0(rng)
             g_range = default_g_range(p)
-            x, fx, edge = scan_then_golden(
-                lambda g: s_add(replace(p, g_lin=g), w).s_add,
-                log_grid(*g_range))
+            gs = log_grid(*g_range)
+
+            def at(g):
+                return s_add(replace(p, g_lin=g), w).s_add
+            x, fx, edge = scan_then_golden(at, gs,
+                                           [at(g) for g in gs.tolist()])
             nu = minimize_over_g_numeric(p, w, g_range)
             assert (nu.g_opt, nu.s_sql, nu.at_boundary) == (x, fx, edge)
             assert type(nu.s_sql) is float and type(nu.g_opt) is float
 
 
-    def test_batch_equals_one_set_at_a_time(self, monkeypatch):
+    def test_batch_equals_one_set_at_a_time(self, checked_scans):
         rng = np.random.default_rng(97)
         sets = [random_t0(rng) for _ in range(12)]
         ps, ws = zip(*sets)
         ranges = [default_g_range(p) for p in ps]
         one = tuple(minimize_over_g_numeric(p, w, r)
                     for p, w, r in zip(ps, ws, ranges))
-        grids = checked_scans(monkeypatch)
+        del checked_scans[:]
         assert minimize_over_g_numeric(ps, ws, ranges) == one
-        assert len(grids) == len(sets)
+        assert len(checked_scans) == len(sets)
 
     def test_batch_needs_a_frequency_and_range_per_detector(self):
         p, w = params(), 1.0
@@ -258,10 +248,12 @@ class TestSomSql:
 
     def test_matches_numeric_coupling_scan(self):
         from omdp_sense.spectra import s_add_som
+        gs = log_grid(1e-6, 10.0)
         for w in (0.97, 1.0, 1.05):
-            _, s_min, _ = scan_then_golden(
-                lambda g: s_add_som(1.0, 1e-5, 0.1, g, 0.0, w),
-                log_grid(1e-6, 10.0))
+            def at(g):
+                return s_add_som(1.0, 1e-5, 0.1, g, 0.0, w)
+            _, s_min, _ = scan_then_golden(at, gs,
+                                           [at(g) for g in gs.tolist()])
             assert som_sql(1.0, 1e-5, 0.1, w) == pytest.approx(
                 s_min, rel=1e-8)
 
@@ -434,11 +426,14 @@ class TestSMinSweep:
         ref = s_min_sweep(self.template(), "v", vals, grid="refined")
         assert ref.s_min[0] < fig.s_min[0]
 
-    def test_refined_scan_on_arrays_equals_scalar_scan(self, monkeypatch):
-        grids = checked_scans(monkeypatch)
-        s_min_sweep(self.template(), "v", [0.0, 0.1, 0.2, 0.47],
-                    grid="refined")
-        assert len(grids) == 4
+    def test_refined_scan_on_arrays_equals_scalar_scan(self, checked_scans):
+        # panels a-d, each value's scan through _s_add_each
+        for name, lo, hi, points, spacing in PANELS.values():
+            values = (np.geomspace if spacing == "log" else np.linspace)(
+                lo, hi, points)
+            del checked_scans[:]
+            sw = s_min_sweep(self.template(), name, values, grid="refined")
+            assert len(checked_scans) == len(sw.values) > 0
 
     @pytest.mark.parametrize("mode, nth", [
         ("fixed_g", 10.0), ("fixed_g", 0.0), ("sql", 0.0)])
@@ -462,10 +457,12 @@ class TestSMinSweep:
                 skipped.append((v, str(exc)))
                 continue
             if mode == "fixed_g":
-                k, fk = scan_min(lambda w: s_add(pv, w).s_add, grid)
+                vals = [s_add(pv, w).s_add for w in grid.tolist()]
             else:
-                k, fk = scan_min(
-                    lambda w: minimize_over_g_analytic(pv, w).s_sql, grid)
+                vals = [minimize_over_g_analytic(pv, w).s_sql
+                        for w in grid.tolist()]
+            k = int(np.argmin(vals))
+            fk = vals[k]
             edges += k in (0, len(grid) - 1)
             rows.append((v, fk, float(grid[k])))
         sw = s_min_sweep(template, name, values, mode=mode)
@@ -481,6 +478,12 @@ class TestSMinSweep:
             s_min_sweep(params(delta_prime=1e154), "v", [0.1, 1e200])
         with pytest.raises(OverflowError):
             s_min_sweep(params(), "v", [0.1, 1e200])
+
+    def test_zero_coupling_raises_the_scalar_error(self):
+        # a g = 0 value stops either grid with s_add's own message
+        for grid in ("figure", "refined"):
+            with pytest.raises(TransductionAbsentError, match="g_lin = 0"):
+                s_min_sweep(self.template(), "g", [0.0, 0.01], grid=grid)
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ParameterError):
