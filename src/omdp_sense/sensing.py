@@ -18,7 +18,7 @@ from . import optimize
 from .errors import ParameterError
 from .exact import Exact
 from .model import frequency_grid, omega_eff, thermal_occupation
-from .spectra import s_add, s_add_som, spectrum_sweep
+from .spectra import _in_blocks, _redo, s_add, s_add_som, spectrum_sweep
 
 # rad/s per model frequency unit for the reference hardware
 # (10.56 MHz oscillator); used whenever a temperature enters.
@@ -95,7 +95,8 @@ def som_noise_floor(params):
                          abs(params.g_lin), params.nth1, w)
 
     grid = frequency_grid([wm], params.gamma1, (0.8 * wm, 1.3 * wm), 201)
-    _, fx, _ = optimize.scan_then_golden(f, grid, f(Exact(grid)))
+    ys = _redo(f, grid, _in_blocks(lambda w: f(Exact(w)), grid))
+    _, fx, _ = optimize.scan_then_golden(f, grid, ys)
     return fx
 
 

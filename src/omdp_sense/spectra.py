@@ -1,11 +1,11 @@
 """Additional-noise spectra for the dual-probe detector and its single-probe baseline."""
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import _batch_size, _fields, solve_coefficients
+from .coefficients import _fields, solve_coefficients
 from .errors import (ParameterError, SingularSystemError,
                      TransductionAbsentError)
 from .exact import Exact
@@ -16,7 +16,7 @@ from .model import chi_mech
 # few megabytes
 SOLVE_BLOCK = 8192
 
-# points per solve in _s_add_each and in validate's batched checks: a
+# points per block of _in_blocks and of validate's batched checks: a
 # per-point batch carries every detector field as an array; blocks of 1024
 # raise no job's peak memory above what blocks of 64 to 512 give
 POINT_BLOCK = 1024
@@ -67,31 +67,30 @@ def _noise(params, co):
     return quantum + sth, sth
 
 
-def _s_add_each(params, omega, g_lin=None):
-    """s_add(...).s_add at every point of a batch, taken as
-    solve_coefficients takes one: a float array, equal bit for bit to
-    calling s_add point by point.
-
-    The batch is solved POINT_BLOCK points at a time. A point whose value
-    is not finite, and every point of a block whose solve raises, is redone
-    alone through s_add, in point order, so it keeps the scalar value or
-    the batch raises what the point-by-point loop raises first.
-    """
-    inputs = (params, omega, g_lin)
-    each = [isinstance(x, (list, tuple)) or np.ndim(x) == 1 for x in inputs]
-    out = np.empty(_batch_size(*inputs))
+def _in_blocks(f, *points):
+    """f on blocks of POINT_BLOCK points of the per-point sequences
+    ``points``, as one float array, numpy's warnings off. A block that
+    raises an error one point can raise is NaN; a batch's ParameterError,
+    such as detectors not sharing theta, raises at once."""
+    out = np.empty(len(points[0]))
     for lo in range(0, len(out), POINT_BLOCK):
         part = slice(lo, lo + POINT_BLOCK)
-        p, w, g = (x[part] if e else x for x, e in zip(inputs, each))
         try:
-            out[part] = _noise(p, solve_coefficients(p, w, g))[0]
+            with np.errstate(all="ignore"):
+                out[part] = f(*(x[part] for x in points))
         except (ArithmeticError, SingularSystemError,
                 TransductionAbsentError):
             out[part] = np.nan
-    for i in np.flatnonzero(~np.isfinite(out)).tolist():
-        p, w, g = (x[i] if e else x for x, e in zip(inputs, each))
-        out[i] = s_add(p if g is None else replace(p, g_lin=g), w).s_add
     return out
+
+
+def _redo(f, xs, ys):
+    """ys with each value that is not finite redone, in point order, by the
+    scalar objective f at that point of xs, as a Python float: a bad point
+    keeps the scalar value or raises what a loop over the points would."""
+    for i in np.flatnonzero(~np.isfinite(ys)).tolist():
+        ys[i] = f(float(xs[i]))
+    return ys
 
 
 def _thermal(params, rc, rd):

@@ -14,12 +14,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import optimize
+from .coefficients import _fields, solve_coefficients
 from .errors import ParameterError, StructureViolationError
 from .exact import Exact
 from .model import (chi_cavity, chi_cavity_conj, chi_mech, frequency_grid,
                     omega_eff)
-from .spectra import (_backaction_prefactor, _s_add_each, _shot_prefactor,
-                      s_add)
+from .spectra import (_backaction_prefactor, _in_blocks, _noise, _redo,
+                      _shot_prefactor, s_add)
 
 DEFAULT_G_RANGE_FACTORS = (1e-4, 10.0)  # times the mechanical frequency
 
@@ -92,6 +93,14 @@ def minimize_over_g_analytic(params, omega):
                         g_opt=(p / q) ** 0.25)
 
 
+def _t0_limits(params, omega):
+    """2 sqrt(pq) + r on an Exact frequency array, for one detector or one
+    per point: a float array, NaN where p or q is not positive."""
+    p, q, r = map(np.asarray, _shot_backaction(params, omega))
+    # np.sqrt rounds as math.sqrt does
+    return np.where((p > 0) & (q > 0), 2.0 * np.sqrt(p * q) + r, np.nan)
+
+
 def _s_sql(params, omega):
     """minimize_over_g_analytic(params, omega).s_sql; for an Exact
     frequency array, a float array equal to it point by point, bit for bit.
@@ -103,14 +112,9 @@ def _s_sql(params, omega):
     if not isinstance(omega, Exact):
         return minimize_over_g_analytic(params, omega).s_sql
     _require_t0(params)
-    with np.errstate(all="ignore"):
-        p, q, r = map(np.asarray, _shot_backaction(params, omega))
-        # np.sqrt rounds as math.sqrt does
-        s = 2.0 * np.sqrt(p * q) + r
-        redo = np.flatnonzero(~((p > 0) & (q > 0) & np.isfinite(s)))
-    for i in redo:
-        s[i] = minimize_over_g_analytic(params, omega.value[i]).s_sql
-    return s
+    ws = omega.value
+    ys = _in_blocks(lambda w: _t0_limits(params, Exact(w)), ws)
+    return _redo(lambda w: minimize_over_g_analytic(params, w).s_sql, ws, ys)
 
 
 def minimize_over_g_numeric(params, omega, g_range):
@@ -123,7 +127,9 @@ def minimize_over_g_numeric(params, omega, g_range):
 
     ``params`` may also be a sequence of detectors, with ``omega`` and
     ``g_range`` sequences of the same length, one set each: the scans of
-    all sets are then solved as one batch, and a tuple of results returned.
+    all sets are then solved as one batch, and a tuple of results returned;
+    each set redoes its bad scan points just before its polish, so errors
+    come in set order.
     """
     batch = isinstance(params, (list, tuple))
     if not batch:
@@ -135,7 +141,8 @@ def minimize_over_g_numeric(params, omega, g_range):
                              "frequency and one g range")
     grids = [optimize.log_grid(*r) for _, _, r in sets]
     sizes = [len(xs) for xs in grids]
-    scans = np.split(_s_add_each(
+    scans = np.split(_in_blocks(
+        lambda p, w, g: _noise(p, solve_coefficients(p, w, g))[0],
         [p for (p, _, _), k in zip(sets, sizes) for _ in range(k)],
         np.repeat([float(w) for _, w, _ in sets], sizes),
         np.concatenate(grids)), np.cumsum(sizes)[:-1])
@@ -144,6 +151,7 @@ def minimize_over_g_numeric(params, omega, g_range):
         def at(g, p=p, w=w):
             return s_add(replace(p, g_lin=g), w).s_add
 
+        ys = _redo(at, xs, ys)
         x, fx, at_boundary = optimize.scan_then_golden(at, xs, ys)
         out.append(GMinNumeric(s_sql=fx, g_opt=x, at_boundary=at_boundary))
     return tuple(out) if batch else out[0]
@@ -166,21 +174,25 @@ def _shot_backaction(params, omega):
 
     With theta = 0 the ratios A/E and B/E are each alpha/g + beta g, where
     alpha and beta do not depend on g; the dual-probe analogue of som_sql.
-    ``omega`` may be an Exact frequency array; p, q and r are then Exact
-    arrays, every value equal bit for bit to the call at that frequency.
+    ``params`` may be one detector or a sequence of detectors, one per
+    point, and ``omega`` an Exact frequency array; p, q and r are then Exact
+    arrays, every value equal bit for bit to the call at that point alone.
     """
     if not isinstance(omega, Exact):
         # a numpy scalar would round the complex arithmetic differently
         omega = float(omega)
+    params = _fields(params)
     xc = chi_cavity(omega, params.delta_prime, params.kappa)
     xcd = chi_cavity_conj(omega, params.delta_prime, params.kappa)
     x1 = chi_mech(omega, params.omega_m1, params.gamma1)
     x2 = chi_mech(omega, params.omega_m2, params.gamma2)
     v = params.v_coupling
     k = params.kappa
+    # np.sqrt rounds as math.sqrt does
+    sk = Exact(np.sqrt(k.value)) if isinstance(k, Exact) else math.sqrt(k)
     w2 = 2.0 * v * x1 * x2 - x1 - x2
     u = v ** 2 * x1 * x2 - 1.0
-    den = 1j * math.sqrt(k) * (xc + xcd) * w2
+    den = 1j * sk * (xc + xcd) * w2
     alpha_a = -(1.0 - k * xc) * u / den
     alpha_b = (1.0 - k * xcd) * u / den
     beta_a = 1j * w2 * ((1.0 - k * xc) * (xc - xcd)
@@ -302,8 +314,7 @@ def s_min_sweep(template, param, values, mode="fixed_g", grid="figure"):
         raise ParameterError("swept values must be strictly increasing")
 
     scale = math.sqrt(template.omega_m1 * template.omega_m2)
-    figure_grid = np.linspace(SWEEP_SPAN[0] * scale, SWEEP_SPAN[1] * scale,
-                              SWEEP_POINTS)
+    span = (SWEEP_SPAN[0] * scale, SWEEP_SPAN[1] * scale)
 
     points, skipped, failure = [], [], None
     for v in vals:
@@ -316,41 +327,36 @@ def s_min_sweep(template, param, values, mode="fixed_g", grid="figure"):
             # the values would raise it
             failure = exc
             break
-    if grid == "figure" and mode == "fixed_g":
-        # every value's row in one batch
-        figure_rows = _s_add_each(
-            [pv for _, pv in points for _ in range(SWEEP_POINTS)],
-            np.tile(figure_grid, len(points))).reshape(-1, SWEEP_POINTS)
+    if grid == "figure":
+        grids = [np.linspace(*span, SWEEP_POINTS)] * len(points)
+    else:
+        grids = [frequency_grid([scale, omega_eff(scale, pv.v_coupling)],
+                                min(pv.gamma1, pv.gamma2), span, 201)
+                 for _, pv in points]
+    # every value's scan in one batch (empty when all are skipped), equal
+    # to the objective point by point, bit for bit; a bad point is redone
+    # just before its value's pick or polish, so errors come in value order
+    sizes = [len(xs) for xs in grids]
+    scans = np.split(_in_blocks(
+        (lambda p, w: _t0_limits(p, Exact(w))) if mode == "sql" else
+        (lambda p, w: _noise(p, solve_coefficients(p, w))[0]),
+        [pv for (_, pv), k in zip(points, sizes) for _ in range(k)],
+        np.concatenate([np.empty(0)] + grids)), np.cumsum(sizes)[:-1])
 
     out_v, out_s, out_w, out_g = [], [], [], []
     at_boundary = 0
-    for i, (v, pv) in enumerate(points):
-        # the grid and its values on arrays, equal to the objective point
-        # by point, bit for bit
-        if grid == "figure":
-            xs = figure_grid
-        else:
-            centers = [scale, omega_eff(scale, pv.v_coupling)]
-            lw = min(pv.gamma1, pv.gamma2)
-            xs = frequency_grid(centers, lw,
-                                (SWEEP_SPAN[0] * scale, SWEEP_SPAN[1] * scale),
-                                201)
-        if mode == "sql":
-            ys = _s_sql(pv, Exact(xs))
-        elif grid == "figure":
-            ys = figure_rows[i]
-        else:
-            ys = _s_add_each(pv, xs)
+    for (v, pv), xs, ys in zip(points, grids, scans):
+        def objective(w, pv=pv):
+            if mode == "sql":
+                return minimize_over_g_analytic(pv, w).s_sql
+            return s_add(pv, w).s_add
 
+        ys = _redo(objective, xs, ys)
         if grid == "figure":
             k = int(np.argmin(ys))
             w_at, s_at = float(xs[k]), float(ys[k])
             edge = k in (0, len(xs) - 1)
         else:
-            def objective(w, pv=pv):
-                if mode == "sql":
-                    return minimize_over_g_analytic(pv, w).s_sql
-                return s_add(pv, w).s_add
             w_at, s_at, edge = optimize.scan_then_golden(objective, xs, ys)
 
         at_boundary += edge

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from omdp_sense import optimize
+
+# properties that leave their example count to the profile: "ci" runs with
+# the test suite, "thorough" on demand (pytest --hypothesis-profile=thorough)
+settings.register_profile("ci", max_examples=30)
+settings.register_profile("thorough", max_examples=250)
+settings.load_profile("ci")
 
 
 @pytest.fixture

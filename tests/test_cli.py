@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omdp_sense import cli, coefficients
+from omdp_sense import cli, coefficients, sql
 from omdp_sense.cli import SCHEMA, main, resolve_table, load_config_file
 from omdp_sense.errors import UsageError
+from omdp_sense.exact import Exact
+from omdp_sense.spectra import POINT_BLOCK
 
 
 def read_csv(path):
@@ -189,7 +191,10 @@ class TestExitCodes:
          "ZeroDivision"),
         ("sweep", ["mode=sql", "grid=refined", "gamma=1e308"], "Overflow"),
         ("sweep", ["mode=sql", "grid=refined", "kappa=1e-300"],
-         "NaN or inf")])
+         "NaN or inf"),
+        # the floor scan overflows at some points and not at others; it
+        # raises where the scalar scan does
+        ("snr", ["g=1e-156"], "OverflowError")])
     def test_value_outside_domain_is_one(self, tmp_path, capsys, command,
                                          settings, word):
         argv = [command, "--out", str(tmp_path)]
@@ -599,12 +604,40 @@ class TestSolveCounts:
 
     def test_refined_sweep_solves_alone_only_in_polish(self, monkeypatch,
                                                        tmp_path):
-        # each value's scan is one batch; golden_min probes alone
+        # all values' scans are one batch, 18,863 points for panel a, in
+        # blocks of POINT_BLOCK; golden_min probes alone
         calls = self.count(monkeypatch, tmp_path,
                            ["sweep", "--set", "grid=refined"],
                            alone=("golden_min",))
-        assert calls["elsewhere"] == 0
-        assert calls["scalar"] > 0 and calls["batched"] >= 1
+        assert calls["elsewhere"] == 0 and calls["scalar"] > 0
+        assert calls["batched"] == -(-18863 // POINT_BLOCK) == 19
+
+    def test_refined_sql_sweep_batches_its_optima(self, monkeypatch,
+                                                  tmp_path):
+        arrays, scalar = [], sql._shot_backaction
+
+        def counted(params, omega):
+            if isinstance(omega, Exact):
+                arrays.append(len(omega.value))
+            return scalar(params, omega)
+        monkeypatch.setattr(sql, "_shot_backaction", counted)
+        argv = ["sweep", "--set", "mode=sql", "--set", "grid=refined",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(arrays) == 19 and max(arrays) == POINT_BLOCK
+
+    @pytest.mark.parametrize("mode", ["fixed_g", "sql"])
+    @pytest.mark.parametrize("grid", ["figure", "refined"])
+    def test_sweep_of_only_unstable_values_is_an_empty_table(
+            self, tmp_path, mode, grid):
+        argv = ["sweep", "--set", "lo=1.0", "--set", "hi=1.5",
+                "--set", "points=3", "--set", "mode=" + mode,
+                "--set", "grid=" + grid, "--out", str(tmp_path)]
+        assert main(argv) == 0
+        header, rows = read_csv(tmp_path / "sweep_a.csv")
+        assert header and rows == []
+        doc = json.loads((tmp_path / "sweep_a.csv.manifest.json").read_text())
+        assert len(doc["skipped"]) == 3
 
     def test_validate_solves_alone_only_in_polish_and_fit(self, monkeypatch,
                                                           tmp_path):
@@ -716,7 +749,8 @@ def _assert_exits_cleanly(argv):
         assert msg.startswith(prefix) and msg.count("\n") == 1, (argv, msg)
 
 
-@settings(max_examples=30, deadline=None)
+# examples per run come from the hypothesis profile (tests/conftest.py)
+@settings(deadline=None)
 @given(data=st.data())
 def test_random_set_layers_exit_cleanly(data):
     command = data.draw(st.sampled_from(FUZZED))
@@ -752,7 +786,7 @@ def manifests(tmp_path_factory):
     return out
 
 
-@settings(max_examples=30, deadline=None)
+@settings(deadline=None)
 @given(data=st.data())
 def test_edited_manifest_reruns_exit_cleanly(manifests, data):
     command = data.draw(st.sampled_from(FUZZED))

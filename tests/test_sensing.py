@@ -1,13 +1,14 @@
 import math
+import warnings
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
-from omdp_sense import (MagnetometerConfig, ParameterError, make_report,
-                        occupation_temperature, omega_eff,
-                        response_coefficient, s_add, s_r, snr,
+from omdp_sense import (MagnetometerConfig, ParameterError, frequency_grid,
+                        make_report, occupation_temperature, omega_eff,
+                        response_coefficient, s_add, s_add_som, s_r, snr,
                         thermal_occupation)
 from omdp_sense import sensing
 from omdp_sense.checks import reference_params
@@ -127,6 +128,22 @@ class TestEnhancementFactor:
             for temperature in (1e-4, 1e-3, 300.0):
                 s_r(params(v_coupling=v), temperature, W_SI)
         assert len(checked_scans) == 9
+
+    def test_floor_scan_raises_what_the_scalar_scan_raises(self):
+        # at g = 1e-156 most of the grid overflows, yet some points stay
+        # finite; the scalar scan raises at the first point that overflows
+        p = reference_params(g_lin=1e-156)
+        wm = p.omega_m1
+        grid = frequency_grid([wm], p.gamma1, (0.8 * wm, 1.3 * wm), 201)
+        with pytest.raises(OverflowError) as loop:
+            for w in grid.tolist():
+                s_add_som(wm, p.gamma1, p.kappa, abs(p.g_lin), p.nth1, w)
+        # the array scan overflows quietly; the scalar redo raises
+        with pytest.raises(OverflowError) as floor, \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sensing.som_noise_floor(p)
+        assert str(floor.value) == str(loop.value)
 
     def test_coupling_table_searches_the_floor_once(self, monkeypatch):
         # the floor reads no v, so the s_r_vs_v table needs one search

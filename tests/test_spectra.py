@@ -16,7 +16,8 @@ from omdp_sense.checks import random_params, random_t0, reference_params
 from omdp_sense.coefficients import _solve4, _solve4_batched
 from omdp_sense.exact import Exact
 from omdp_sense.optimize import log_grid
-from omdp_sense.spectra import SOLVE_BLOCK, _noise, _s_add_each
+from omdp_sense.spectra import (POINT_BLOCK, SOLVE_BLOCK, _in_blocks,
+                                _noise, _redo)
 from omdp_sense.sql import _shot_backaction, default_g_range
 
 
@@ -346,6 +347,22 @@ class TestCouplingArrayRoute:
                                g_lin=np.array([0.03, 0.04]))
 
 
+def s_add_each(ps, ws, gs=None):
+    """s_add at every point of a batch, one detector, frequency and, if
+    given, coupling per point, through the two batch steps as the coupling
+    scans compose them: blocks of POINT_BLOCK points, then each bad point
+    redone alone through scalar s_add, in point order."""
+    points = (ps, ws) if gs is None else (ps, ws, gs)
+    ys = _in_blocks(lambda p, *x: _noise(p, solve_coefficients(p, *x))[0],
+                    *points)
+
+    def alone(i):
+        p = ps[int(i)] if gs is None else replace(ps[int(i)],
+                                                  g_lin=gs[int(i)])
+        return s_add(p, float(ws[int(i)])).s_add
+    return _redo(alone, np.arange(len(ws)), ys)
+
+
 class TestPerPointBatch:
     """One detector per point, with per-point or shared frequencies and
     couplings, against solving and s_add point by point, bit for bit."""
@@ -353,7 +370,9 @@ class TestPerPointBatch:
     def assert_identical(self, ps, omega, g_lin=None):
         co = solve_coefficients(ps, omega, g_lin)
         sadd, sth = (np.asarray(x) for x in _noise(ps, co))
-        each = _s_add_each(ps, omega, g_lin)
+        each = s_add_each(ps, np.broadcast_to(omega, len(ps)),
+                          None if g_lin is None
+                          else np.broadcast_to(g_lin, len(ps)))
         for i, p in enumerate(ps):
             w = float(omega[i] if np.ndim(omega) else omega)
             if g_lin is not None:
@@ -391,7 +410,7 @@ class TestPerPointBatch:
         ws = np.linspace(0.9, 1.2, 40)
         gs = np.geomspace(1e-3, 0.3, 40)
         co = solve_coefficients(params(), ws, gs)
-        got = _s_add_each(params(), ws, gs)
+        got = s_add_each([params()] * len(ws), ws, gs)
         for i, (w, g) in enumerate(zip(ws.tolist(), gs.tolist())):
             one = solve_coefficients(params(g_lin=g), w)
             for name in COEFFICIENTS:
@@ -402,9 +421,20 @@ class TestPerPointBatch:
         grid = np.linspace(0.9, 1.2, SOLVE_BLOCK + 3)
         ps = [params(v_coupling=0.1), params(v_coupling=0.2)] * (len(grid) // 2)
         ps.append(params())
-        got = _s_add_each(ps, grid)
-        for i in (0, 1, SOLVE_BLOCK - 1, SOLVE_BLOCK, len(grid) - 1):
+        got = s_add_each(ps, grid)
+        for i in (0, 1, POINT_BLOCK - 1, POINT_BLOCK, SOLVE_BLOCK - 1,
+                  SOLVE_BLOCK, len(grid) - 1):
             assert got[i] == s_add(ps[i], float(grid[i])).s_add
+        # a point that fails makes its own block NaN, and only that block
+        ps[POINT_BLOCK + 5] = params(g_lin=0.0)
+        ys = _in_blocks(lambda p, w: _noise(p, solve_coefficients(p, w))[0],
+                        ps, grid)
+        bad = ~np.isfinite(ys)
+        assert bad[POINT_BLOCK:2 * POINT_BLOCK].all()
+        assert bad.sum() == POINT_BLOCK
+        with pytest.raises(TransductionAbsentError, match="g_lin = 0"):
+            _redo(lambda i: s_add(ps[int(i)], float(grid[int(i)])).s_add,
+                  np.arange(len(grid)), ys)
 
     def test_vanishing_transduction_raises_as_the_loop(self):
         ps = [params(), params(g_lin=0.0), params(g_lin=0.05)]
@@ -420,11 +450,12 @@ class TestPerPointBatch:
             for p, w in zip(ps, ws.tolist()):
                 s_add(p, w)
         with pytest.raises(TransductionAbsentError) as batch:
-            _s_add_each(ps, ws)
+            s_add_each(ps, ws)
         assert str(batch.value) == str(loop.value)
         # and a zero among per-point couplings
         with pytest.raises(TransductionAbsentError) as batch:
-            _s_add_each(params(), 1.05, np.array([0.03, 0.0, 0.1]))
+            s_add_each([params()] * 3, np.full(3, 1.05),
+                       np.array([0.03, 0.0, 0.1]))
         assert str(batch.value) == str(loop.value)
 
     @pytest.mark.parametrize("fields", [
@@ -449,10 +480,10 @@ class TestPerPointBatch:
                 break
         with pytest.raises(type(first)) as exc:
             with np.errstate(all="ignore"):
-                _s_add_each(ps, ws)
+                s_add_each(ps, ws)
         assert str(exc.value) == str(first)
         with np.errstate(all="ignore"):
-            got = _s_add_each(ps[:len(want)], ws[:len(want)])
+            got = s_add_each(ps[:len(want)], ws[:len(want)])
         assert np.array_equal(got, want, equal_nan=True)
 
     def test_detectors_must_share_theta(self):
@@ -462,8 +493,9 @@ class TestPerPointBatch:
         co = solve_coefficients(ps[:1] * 2, 1.05)
         with pytest.raises(ParameterError, match="theta"):
             _noise(ps, co)
+        # a batch-level error raises at once, not redone point by point
         with pytest.raises(ParameterError, match="theta"):
-            _s_add_each(ps, np.array([1.0, 1.1]))
+            s_add_each(ps, np.array([1.0, 1.1]))
 
     def test_per_point_inputs_must_agree_in_length(self):
         for args in (([params()] * 2, np.array([1.0, 1.1, 1.2])),

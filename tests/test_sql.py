@@ -19,6 +19,10 @@ from omdp_sense.optimize import golden_min, log_grid, scan_then_golden
 from omdp_sense.sql import SWEEP_POINTS, SWEEP_SPAN, _s_sql, _shot_backaction
 
 
+class PolishError(Exception):
+    """Raised by an objective patched to fail off a scan grid."""
+
+
 # frozen reference limits at omega = omega_m
 SOM_LIMIT_AT_WM = 2.794585205904759e-08
 DUAL_LIMIT_V0_AT_WM = 5.0139729260295225e-06
@@ -147,6 +151,22 @@ class TestArrayOptimum:
         sw = s_min_sweep(params(), name, values, mode="sql", grid="refined")
         assert len(checked_scans) == len(sw.values) > 0
 
+    def test_shot_backaction_takes_one_detector_per_point(self):
+        # the detectors of sweep panels a-d, each at its own frequency
+        ps = []
+        for name, lo, hi, points, spacing in PANELS.values():
+            values = (np.geomspace if spacing == "log" else np.linspace)(
+                lo, hi, points)
+            for v in values.tolist():
+                try:
+                    ps.append(sql._sweep_point(params(), name, v))
+                except ParameterError:
+                    pass
+        ws = np.random.default_rng(61).uniform(0.8, 1.3, len(ps))
+        p, q, r = map(np.asarray, _shot_backaction(ps, Exact(ws)))
+        for i, (pv, w) in enumerate(zip(ps, ws.tolist())):
+            assert (p[i], q[i], r[i]) == _shot_backaction(pv, w), i
+
     @pytest.mark.parametrize("fields", [
         dict(delta_prime=-1e308),            # complex division by zero
         dict(gamma1=1e308, gamma2=1e308),    # overflow
@@ -232,6 +252,26 @@ class TestNumericMinimizer:
         del checked_scans[:]
         assert minimize_over_g_numeric(ps, ws, ranges) == one
         assert len(checked_scans) == len(sets)
+
+    def test_a_polish_error_comes_before_a_later_scan_error(
+            self, monkeypatch):
+        # one batch scans both sets; set 1's scan has a failing point, and
+        # set 0's polish raises first, as one call per set would
+        p0, p1 = params(), params(delta_prime=1e154)
+        r0 = default_g_range(p0)
+        with pytest.raises(TransductionAbsentError), \
+                np.errstate(all="ignore"):
+            minimize_over_g_numeric(p1, 1.0, r0)
+        grid0 = set(log_grid(*r0).tolist())
+        scalar = sql.s_add
+
+        def polish_fails(p, w):
+            if p.delta_prime == 1.0 and p.g_lin not in grid0:
+                raise PolishError
+            return scalar(p, w)
+        monkeypatch.setattr(sql, "s_add", polish_fails)
+        with pytest.raises(PolishError), np.errstate(all="ignore"):
+            minimize_over_g_numeric([p0, p1], [1.0, 1.0], [r0, r0])
 
     def test_batch_needs_a_frequency_and_range_per_detector(self):
         p, w = params(), 1.0
@@ -427,7 +467,7 @@ class TestSMinSweep:
         assert ref.s_min[0] < fig.s_min[0]
 
     def test_refined_scan_on_arrays_equals_scalar_scan(self, checked_scans):
-        # panels a-d, each value's scan through _s_add_each
+        # panels a-d, all values' scans in one batch
         for name, lo, hi, points, spacing in PANELS.values():
             values = (np.geomspace if spacing == "log" else np.linspace)(
                 lo, hi, points)
@@ -471,13 +511,42 @@ class TestSMinSweep:
         assert sw.at_boundary == edges
         assert len(skipped) == (11 if panel == "unstable" else 0)
 
-    def test_errors_keep_the_order_of_the_values(self):
+    @pytest.mark.parametrize("mode", ["fixed_g", "sql"])
+    @pytest.mark.parametrize("grid", ["figure", "refined"])
+    def test_errors_keep_the_order_of_the_values(self, mode, grid):
         # the first value's scan raises before the second value's
         # detector overflows; alone, the second value overflows
-        with pytest.raises(TransductionAbsentError), np.errstate(all="ignore"):
-            s_min_sweep(params(delta_prime=1e154), "v", [0.1, 1e200])
+        fields, first = {
+            "fixed_g": (dict(delta_prime=1e154), TransductionAbsentError),
+            "sql": (dict(delta_prime=-1e308), ZeroDivisionError)}[mode]
+        with pytest.raises(first), np.errstate(all="ignore"):
+            s_min_sweep(params(**fields), "v", [0.1, 1e200], mode=mode,
+                        grid=grid)
         with pytest.raises(OverflowError):
-            s_min_sweep(params(), "v", [0.1, 1e200])
+            s_min_sweep(params(), "v", [0.1, 1e200], mode=mode, grid=grid)
+
+    @pytest.mark.parametrize("mode", ["fixed_g", "sql"])
+    def test_a_polish_error_comes_before_a_later_scan_error(
+            self, checked_scans, monkeypatch, mode):
+        # all values are scanned in one batch; value 1's scan has a failing
+        # point, and value 0's polish raises first, as a loop would
+        template = params(gamma1=1e100, gamma2=1e100)
+        with pytest.raises(OverflowError), np.errstate(all="ignore"):
+            s_min_sweep(template, "kappa", [1e200], mode=mode,
+                        grid="refined")
+        s_min_sweep(template, "kappa", [0.1], mode=mode, grid="refined")
+        grid0 = set(checked_scans[-1].tolist())
+        name = "s_add" if mode == "fixed_g" else "minimize_over_g_analytic"
+        scalar = getattr(sql, name)
+
+        def polish_fails(p, w):
+            if p.kappa == 0.1 and w not in grid0:
+                raise PolishError
+            return scalar(p, w)
+        monkeypatch.setattr(sql, name, polish_fails)
+        with pytest.raises(PolishError), np.errstate(all="ignore"):
+            s_min_sweep(template, "kappa", [0.1, 1e200], mode=mode,
+                        grid="refined")
 
     def test_zero_coupling_raises_the_scalar_error(self):
         # a g = 0 value stops either grid with s_add's own message
