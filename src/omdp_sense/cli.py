@@ -10,13 +10,14 @@ frequency unless units = si.
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -224,60 +225,103 @@ def _json_default(obj):
     return list(obj)
 
 
-def _non_finite():
-    raise ValueError("NaN or inf cell")
-
-
 # rows per write of a CSV table
 CSV_CHUNK = 4096
 
 
-def _block_format(block):
-    """The one %-format that writes every row of a block as csv.writer
-    would, numbers as %.17g; None when the block needs csv.writer itself:
-    rows of different shapes (cell types), or text that csv may quote
-    (Python 3.13 on also quotes a carriage return) or, alone in its row and
-    empty, writes as ""."""
-    if len(set(map(len, block))) != 1:
-        return None
-    cells = []
-    for column in zip(*block):
-        kinds = set(map(type, column))
-        if len(kinds) != 1:
-            return None
-        if issubclass(kinds.pop(), str):
-            texts = set(column)
-            if any(c in text for text in texts for c in ',"\r\n') or (
-                    "" in texts and len(block[0]) == 1):
-                return None
-            cells.append("%s")
+class _Quoted(dict):
+    """Text cells as csv.writer writes them, each distinct text quoted once,
+    by csv itself. Empty text is an empty cell, except alone in its row,
+    where csv.writer writes a pair of quotes."""
+
+    def __init__(self, lone):
+        super().__init__()
+        self.lone = lone  # the table has one column
+
+    def __missing__(self, text):
+        if text or self.lone:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow([text])
+            self[text] = buf.getvalue()[:-1]
         else:
-            cells.append("%.17g")
-    return ",".join(cells) + "\n"
+            self[text] = text
+        return self[text]
 
 
-def _write_csv(fh, columns, rows):
-    """Write the header and rows as csv.writer with %.17g numbers does,
-    which round-trips every float and prints integers whole; rows go out
-    CSV_CHUNK at a time.
+def _g17(values):
+    """A float array's values as %.17g text."""
+    return list(map("%.17g".__mod__, values.tolist()))
 
-    A block of rows of one shape goes out through one %-format per row; a
-    block that _block_format cannot format, or that holds a NaN or inf,
-    goes through csv.writer cell by cell, which refuses the NaN or inf.
+
+def _number_cells(nums):
+    """A function of (lo, hi) that gives nums[lo:hi] as %.17g text.
+
+    Values are told apart by bit pattern, so -0.0 and 0.0 stay apart. A
+    value that recurs is formatted once and kept; a value that occurs once
+    is formatted when its block is asked for, so no more is kept than the
+    distinct values that recur. A NaN or inf raises ValueError.
     """
-    wr = csv.writer(fh, lineterminator="\n")
-    wr.writerow(columns)
-    for lo in range(0, len(rows), CSV_CHUNK):
-        block = list(map(tuple, rows[lo:lo + CSV_CHUNK]))
-        fmt = _block_format(block)
-        chunk = None if fmt is None else "".join(map(fmt.__mod__, block))
-        # a finite number prints without an "n", inf and nan with one
-        if chunk is None or "n" in chunk:
-            wr.writerows([x if isinstance(x, str) else "%.17g" % x
-                          if math.isfinite(x) else _non_finite()
-                          for x in row] for row in block)
-        else:
-            fh.write(chunk)
+    if not np.isfinite(nums).all():
+        raise ValueError("NaN or inf cell")
+    bits = nums.view(np.uint64)
+    keys, counts = np.unique(bits, return_counts=True)
+    # the recurring values in order, then all ones, a NaN's bit pattern:
+    # every search lands on a key, and no finite value matches the last
+    keys = np.append(keys[counts > 1], np.uint64(2 ** 64 - 1))
+    kept = np.array(_g17(keys[:-1].view(float)) + [None], dtype=object)
+
+    def cells(lo, hi):
+        at = np.searchsorted(keys, bits[lo:hi])
+        once = keys[at] != bits[lo:hi]
+        out = kept[at]
+        out[once] = _g17(nums[lo:hi][once])
+        return out
+    return cells
+
+
+def _column_cells(column, quoted):
+    """A function of (lo, hi) that gives a column's cells lo:hi as CSV
+    text: numbers through _number_cells, text through quoted."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        numbers = _number_cells(column.astype(float, copy=False))
+        return lambda lo, hi: numbers(lo, hi).tolist()
+    items = np.array(column, dtype=object)
+    text = np.fromiter(map(isinstance, items, repeat(str)), bool, len(items))
+    if text.all():
+        return lambda lo, hi: list(map(quoted.__getitem__, items[lo:hi]))
+    # a text cell holds 0.0 among the numbers, then its own text
+    numbers = _number_cells(np.where(text, 0.0, items).astype(float))
+
+    def cells(lo, hi):
+        out = numbers(lo, hi)
+        at = np.flatnonzero(text[lo:hi])
+        out[at] = list(map(quoted.__getitem__, items[lo:hi][at]))
+        return out.tolist()
+    return cells
+
+
+def _write_csv(fh, header, columns):
+    """Write the header, then the columns as rows, CSV_CHUNK rows at a time,
+    with the bytes of csv.writer and %.17g numbers, which round-trip every
+    float and print integers whole."""
+    csv.writer(fh, lineterminator="\n").writerow(header)
+    quoted = _Quoted(len(columns) == 1)
+    cells = [_column_cells(c, quoted) for c in columns]
+    for lo in range(0, len(columns[0]), CSV_CHUNK):
+        block = zip(*[f(lo, lo + CSV_CHUNK) for f in cells])
+        fh.write("\n".join(map(",".join, block)) + "\n")
+
+
+def _fill(path, write):
+    """Create the file at path and write it through write(fh); on any error
+    the partial file is removed before the error goes on."""
+    fh = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            write(fh)
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 class Emitter:
@@ -312,25 +356,23 @@ class Emitter:
         man.update(self.sidecar)
         man["config_digest"] = self.config_digest
         man["timestamp"] = datetime.now(timezone.utc).isoformat()
-        path = data_path + ".manifest.json"
-        with open(path, "w", encoding="utf-8") as fh:
+
+        def write(fh):
             json.dump(man, fh, indent=2, sort_keys=True, default=_json_default)
             fh.write("\n")
+        _fill(data_path + ".manifest.json", write)
 
     def _write(self, filename, write):
-        # a NaN or inf value raises ValueError, from the csv cell test or
-        # from json's allow_nan=False; the partial file is removed
         path = os.path.join(self.out_dir, filename)
         try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                write(fh)
+            _fill(path, write)
         except ValueError:
-            os.remove(path)
+            # a NaN or inf, refused by _write_csv or by json's allow_nan=False
             raise ParameterError("%s: refusing to write NaN or inf"
                                  % filename) from None
         try:
             self._write_manifest(path, filename)
-        except OSError:
+        except BaseException:
             os.remove(path)  # no data file without its manifest
             raise
         self.files.append(path)
@@ -345,14 +387,17 @@ class Emitter:
             fh.write("\n")
         return self._write(filename, write)
 
-    def table_file(self, stem, columns, rows):
+    def table_file(self, stem, header, *columns):
+        """One table, given column by column: numpy arrays, or sequences
+        of numbers and text."""
         if self.fmt == "json":
+            columns = [c.tolist() if isinstance(c, np.ndarray) else c
+                       for c in columns]
             return self._json(stem + ".json",
-                              {"columns": list(columns),
-                               "rows": [list(r) for r in rows]})
-
+                              {"columns": list(header),
+                               "rows": [list(r) for r in zip(*columns)]})
         return self._write(stem + ".csv",
-                           lambda fh: _write_csv(fh, columns, rows))
+                           lambda fh: _write_csv(fh, header, columns))
 
     def json_file(self, stem, payload):
         return self._json(stem + ".json", payload)
@@ -386,20 +431,23 @@ def cmd_spectrum(config, emitter):
     span = (t["span_lo"], t["span_hi"])
     _check_rows("spectrum", (len(t["v_list"]) + 1) * points,
                 ("v_list", "base_points"))
-    rows = []
+    parts = []  # per series: omega, s_add, s_th, a_p, series label
     for v in t["v_list"]:
         params = _detector(t, v, nth)
         grid = frequency_grid([1.0, omega_eff(1.0, v)], gamma, span, points)
         res = spectrum_sweep(params, grid)
-        rows += zip(res.omega.tolist(), res.s_add.tolist(), res.s_th.tolist(),
-                    res.a_p.tolist(), repeat("v=%g" % v))
+        parts.append((res.omega, res.s_add, res.s_th, res.a_p,
+                      ["v=%g" % v] * len(grid)))
     ws = frequency_grid([1.0], gamma, span, points)
     som = s_add_som(1.0, gamma, t["kappa"], t["g"], nth, Exact(ws))
-    rows += zip(ws.tolist(), np.asarray(som).tolist(), repeat(gamma * nth),
-                repeat(""), repeat("som"))
+    # the single-oscillator series has no gain |E|: its a_p cells are empty
+    parts.append((ws, np.asarray(som), np.full(len(ws), gamma * nth),
+                  np.full(len(ws), "", dtype=object), ["som"] * len(ws)))
+    omega, s_add, s_th, a_p, series = zip(*parts)
     emitter.table_file("spectrum",
                        ("omega_over_omega_m", "s_add", "s_th", "a_p", "series"),
-                       rows)
+                       *map(np.concatenate, (omega, s_add, s_th, a_p)),
+                       list(chain(*series)))
 
 
 def cmd_sql_map(config, emitter):
@@ -410,19 +458,19 @@ def cmd_sql_map(config, emitter):
     omegas = np.linspace(t["omega_lo"], t["omega_hi"], t["omega_points"])
     vs = np.linspace(t["v_lo"], t["v_hi"], t["v_points"])
     m = r_map(params, omegas, vs)
-    rows = [(w, v, m.log10_r1[i][j], m.log10_r2[i][j])
-            for i, v in enumerate(m.v_grid)
-            for j, w in enumerate(m.omega_grid)]
     emitter.table_file("sql_map",
                        ("omega_over_omega_m", "v_over_omega_m",
-                        "log10_r1", "log10_r2"), rows)
+                        "log10_r1", "log10_r2"),
+                       np.tile(m.omega_grid, len(m.v_grid)),
+                       np.repeat(m.v_grid, len(m.omega_grid)),
+                       np.ravel(m.log10_r1), np.ravel(m.log10_r2))
     crossings = [(v, factor, w) for i, v in enumerate(m.v_grid)
                  for factor, ws in (("r1", m.r1_crossings[i]),
                                     ("r2", m.r2_crossings[i]))
                  for w in ws]
     emitter.table_file("sql_map_contours",
                        ("v_over_omega_m", "factor", "omega_crossing"),
-                       crossings)
+                       *(list(zip(*crossings)) or [(), (), ()]))
 
 
 def cmd_sweep(config, emitter):
@@ -448,7 +496,7 @@ def cmd_sweep(config, emitter):
     n = 3 if res.g_opt is None else 4
     cols = ("swept_value", "s_min", "omega_at_min", "g_opt")[:n]
     series = (res.values, res.s_min, res.omega_at_min, res.g_opt)[:n]
-    emitter.table_file("sweep_%s" % panel, cols, list(zip(*series)))
+    emitter.table_file("sweep_%s" % panel, cols, *series)
 
 
 def cmd_snr(config, emitter):
@@ -466,26 +514,26 @@ def cmd_snr(config, emitter):
     # enhancement against coupling, with one baseline floor search for
     # every coupling, and against temperature
     vs = np.linspace(t["v_lo"], t["v_hi"], t["v_points"]).tolist()
-    s_rs = _s_r_each((replace(base, v_coupling=v) for v in vs), temperature,
-                     rate_scale)
-    emitter.table_file("s_r_vs_v", ("v_over_omega_m", "s_r"),
-                       list(zip(vs, s_rs)))
+    s_rs = list(_s_r_each((replace(base, v_coupling=v) for v in vs),
+                          temperature, rate_scale))
+    emitter.table_file("s_r_vs_v", ("v_over_omega_m", "s_r"), vs, s_rs)
 
-    temps = np.geomspace(t["t_lo"], t["t_hi"], t["t_points"])
-    rows = [(float(tk), s_r(base, float(tk), rate_scale)) for tk in temps]
-    emitter.table_file("s_r_vs_temperature", ("temperature_k", "s_r"), rows)
+    temps = np.geomspace(t["t_lo"], t["t_hi"], t["t_points"]).tolist()
+    emitter.table_file("s_r_vs_temperature", ("temperature_k", "s_r"), temps,
+                       [s_r(base, tk, rate_scale) for tk in temps])
 
     emitter.table_file("snr_spectrum",
                        ("omega_over_omega_m", "snr_power", "snr_amplitude"),
-                       list(zip(rp.snr_omegas, rp.snr_values, ra.snr_values)))
+                       rp.snr_omegas, rp.snr_values, ra.snr_values)
 
     bs = np.geomspace(t["b_lo"], t["b_hi"], t["b_points"])
     xi = response_coefficient(t["current"], t["probe_size"])
     rows = [(float(b), snr(rp.noise, rp.eta * xi * float(b), "power"),
              snr(ra.noise, ra.eta * xi * float(b), "amplitude"))
             for b in bs]
+    # b by b, both conventions each, so errors come in row order
     emitter.table_file("snr_vs_b", ("b_tesla", "snr_power", "snr_amplitude"),
-                       rows)
+                       *zip(*rows))
 
     accuracy = {conv: {"eta": r.eta, "b_min_tesla": r.b_min,
                        "snr_at_anchor": r.snr_at_omega_eff,

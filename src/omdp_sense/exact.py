@@ -31,38 +31,46 @@ def _is_complex(x):
                                       and x.dtype.kind == "c")
 
 
-def _complex(re, im):
-    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
-    out.real = re
-    out.imag = im
-    return out
-
-
 def _mul(a, b):
     if not (_is_complex(a) or _is_complex(b)):
         return a * b
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    return _complex(ar * br - ai * bi, ar * bi + ai * br)
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    re, im = out.real, out.imag
+    np.multiply(ar, br, out=re)
+    re -= ai * bi
+    np.multiply(ar, bi, out=im)
+    im += ai * br
+    return out
+
+
+def _times_minus_i(z):
+    out = np.empty_like(z)
+    out.real = z.imag
+    np.negative(z.real, out=out.imag)
+    return out
 
 
 def _quot(a, b):
     if not (_is_complex(a) or _is_complex(b)):
         return a / b
-    ar, ai = a.real, a.imag
-    br, bi = np.asarray(b.real), np.asarray(b.imag)
-    # both branches of _Py_c_quot, each kept where |b.real| >= |b.imag|
-    # selects it; the branch not taken may divide by zero
-    by_real = np.abs(br) >= np.abs(bi)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    # _Py_c_quot scales by b.real where |b.real| >= |b.imag| and by b.imag
+    # elsewhere, NaN parts included, which then give NaN. Its second
+    # branch is the first applied to a and b times -i, (x, y) -> (y, -x):
+    # the steps round the same operands, up to exact sign flips. So each
+    # element runs its own branch alone.
+    by_real = np.abs(b.real) >= np.abs(b.imag)
+    if not by_real.all():
+        a, b = (np.where(by_real, z, _times_minus_i(z)) for z in (a, b))
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = bi / br
+        ratio = bi / br  # b == 0 divides zero by zero, giving NaN
         denom = br + bi * ratio
-        re1 = (ar + ai * ratio) / denom
-        im1 = (ai - ar * ratio) / denom
-        ratio = br / bi
-        denom = br * ratio + bi
-        re2 = (ar * ratio + ai) / denom
-        im2 = (ai * ratio - ar) / denom
-    return _complex(np.where(by_real, re1, re2), np.where(by_real, im1, im2))
+        np.divide(ar + ai * ratio, denom, out=out.real)
+        np.divide(ai - ar * ratio, denom, out=out.imag)
+    return out
 
 
 def _raw(x):

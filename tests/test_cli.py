@@ -1,10 +1,12 @@
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -16,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from omdp_sense import cli, coefficients, sql
 from omdp_sense.cli import SCHEMA, main, resolve_table, load_config_file
-from omdp_sense.errors import UsageError
+from omdp_sense.errors import ParameterError, UsageError
 from omdp_sense.exact import Exact
 from omdp_sense.spectra import POINT_BLOCK
 
@@ -306,12 +308,42 @@ class TestExitCodes:
         assert err.count("\n") == 1 and str(out / blocked) in err
         assert not blocked or [p.name for p in out.iterdir()] == [blocked]
 
+    @pytest.mark.parametrize("target", ["data", "manifest"])
+    @pytest.mark.parametrize("error, rc", [
+        (OSError(errno.ENOSPC, "No space left on device"), 2),
+        (OverflowError("int too large to convert to float"), 1)])
+    def test_error_while_writing_leaves_no_file(self, tmp_path, capsys,
+                                                monkeypatch, target, error,
+                                                rc):
+        # the writer of the data file or of its manifest writes one line,
+        # then fails
+        def failing(*args, **kwargs):
+            args[1 if target == "manifest" else 0].write("one line\n")
+            raise error
+        if target == "manifest":
+            monkeypatch.setattr(cli.json, "dump", failing)
+        else:
+            monkeypatch.setattr(cli, "_write_csv", failing)
+        assert main(["sweep", "--out", str(tmp_path)]) == rc
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
     def test_missing_out_dir_is_created(self, tmp_path):
         out = tmp_path / "fresh" / "nested"
         rc = main(["sweep", "--set", "panel=b", "--set", "points=5",
                    "--out", str(out)])
         assert rc == 0
         assert (out / "sweep_b.csv").exists()
+
+
+def test_module_runs_as_a_program():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "omdp_sense", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: omdp-sense")
 
 
 class TestSpectrumCommand:
@@ -377,10 +409,10 @@ def csv_writer_bytes(columns, rows):
 
 
 class TestCsvEmission:
-    def emit(self, tmp_path, columns, rows):
+    def emit(self, tmp_path, header, *columns):
         config = cli.RunConfig(subcommand="spectrum", table={},
                                out_dir=str(tmp_path), fmt="csv")
-        path = cli.Emitter(config).table_file("t", columns, rows)
+        path = cli.Emitter(config).table_file("t", header, *columns)
         with open(path, "rb") as fh:
             return fh.read()
 
@@ -388,34 +420,81 @@ class TestCsvEmission:
         rng = np.random.default_rng(5)
         n = cli.CSV_CHUNK
         edge = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0, 3)
-        # one chunk of a single shape, with plain text
+        # one chunk of numbers of every kind, with plain text
         rows = [(float(x), np.float64(y), 7 * k, "v=0.2")
                 for k, (x, y) in enumerate(rng.normal(size=(n, 2)))]
         rows[:len(edge)] = [(x, np.float64(x), k, "som")
                             for k, x in enumerate(edge)]
-        # a chunk of one shape with text csv quotes, and empty text
+        # a chunk with text csv quotes, and empty text
         texts = ("a,b", 'say "hi"', "a\nb", "cr\r", "", "word")
         rows += [(float(k), texts[k % len(texts)], float(rng.normal()),
                   "" if k % 2 else "x") for k in range(n)]
-        # a chunk of pairs whose cell types differ from row to row
-        rows += ([(0.1, "a"), ("b", 0.3), (1, 2.0), (2.0, 1), ["", ""],
-                  [0.7, 0.9]] * n)[:n]
-        # a chunk of rows of different lengths, lists among them
-        rows += ([[""], [1.5], [], (-0.0, "a", 2)] * n)[:n]
-        # lone text cells, empty ones among them
-        rows += [("x",), ("",)] * 8
+        # a chunk whose columns mix numbers and text from row to row
+        mixed = [(0.1, "a", 1, ""), ("b", 0.3, "", 2.0), (1, 2.0, "x", -0.0),
+                 (2.0, 1, 0.5, 'say "hi"'), ("", "", "", ""),
+                 (0.7, -0.0, 3, "cr\r")]
+        rows += (mixed * n)[:n]
+        # a chunk and a half of values that recur across chunks: the first
+        # chunk's again, the edges, and -0.0 beside 0.0 in one column
+        rows += [(rows[k % n][0], edge[k % len(edge)], (0.0, -0.0)[k % 2],
+                  "som") for k in range(n + n // 2)]
         assert len(rows) > 4 * n
-        columns = ("a", "b", "c", "d")
-        assert self.emit(tmp_path, columns, rows) == csv_writer_bytes(
-            columns, rows)
+        header = ("a", "b", "c", "d")
+        assert self.emit(tmp_path, header, *zip(*rows)) == csv_writer_bytes(
+            header, rows)
 
-    def test_one_format_per_uniform_block(self):
-        block = [(0.5, 2, np.float64(0.25), "v=0.1")] * 3
-        fmt = cli._block_format(block)
-        assert fmt == "%.17g,%.17g,%.17g,%s\n"
-        assert cli._block_format(block + [(0.5, 2.0, 0.25, "v=0.1")]) is None
-        assert cli._block_format([(0.5, "a,b")]) is None
-        assert cli._block_format([("",)]) is None
+    def test_lone_cells_of_a_one_column_table(self, tmp_path):
+        # csv.writer writes empty text alone in its row as ""
+        cells = ["x", "", 1.5, "", -0.0, 'q"', "a,b", 0.0] * 700
+        assert self.emit(tmp_path, ("only",), cells) == csv_writer_bytes(
+            ("only",), [(c,) for c in cells])
+
+    def test_arrays_write_as_their_values(self, tmp_path):
+        rng = np.random.default_rng(6)
+        n = 2 * cli.CSV_CHUNK + 7
+        floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+        floats[:6] = (-0.0, 0.0, 5e-324, 1e308, 0.1, -0.0)
+        ints = rng.integers(-10 ** 6, 10 ** 6, n)
+        recurring = rng.choice([0.25, -0.0, 0.0, 1e-310], n)
+        columns = (floats, ints, recurring, ["v=0.2"] * n)
+        header = ("f", "i", "r", "s")
+        assert self.emit(tmp_path, header, *columns) == csv_writer_bytes(
+            header, list(zip(*(c.tolist() if isinstance(c, np.ndarray)
+                               else c for c in columns))))
+
+    def test_each_distinct_number_is_formatted_once(self, tmp_path,
+                                                    monkeypatch):
+        calls = []
+
+        def counting(values):
+            calls.append(values.tolist())
+            return g17(values)
+        g17 = cli._g17
+        monkeypatch.setattr(cli, "_g17", counting)
+        n = 3 * cli.CSV_CHUNK
+        # 7 values that recur across every chunk, -0.0 and 0.0 among them,
+        # and n values that occur once
+        recurring = np.array([0.5, -0.0, 0.0, 2.0, 1e-300, 3.0, 0.1] * n)[:n]
+        once = np.arange(n) + 0.5
+        self.emit(tmp_path, ("r", "o"), recurring, once)
+        calls = [c for c in calls if c]
+        # the recurring values once, up front; each value that occurs once
+        # in the chunk that writes it
+        assert sorted(map(float.hex, calls[0])) == sorted(
+            map(float.hex, recurring[:7].tolist()))
+        assert calls[1:] == [c.tolist() for c in np.split(once, 3)]
+
+    @pytest.mark.parametrize("column", [
+        np.array([math.nan] + [0.5] * 5000),
+        [0.25] * 5000 + [math.inf],
+        np.array([1.0] * 9000 + [-math.inf]),
+        ["a", 0.5, "", -math.inf, 2.0] * 1000,
+        ["a", math.nan, ""]])
+    def test_non_finite_cell_is_refused(self, tmp_path, column):
+        ones = [1.0] * len(column)
+        with pytest.raises(ParameterError, match="refusing to write NaN"):
+            self.emit(tmp_path, ("ok", "bad"), ones, column)
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_last_row_exits_one_and_writes_nothing(

@@ -158,6 +158,39 @@ class TestExactComplexSquare:
         self.assert_as_cpython([complex(a, b) for a in edges for b in edges])
 
 
+class TestExactProductAndQuotient:
+    """Exact's complex * and / round as CPython's, part by part."""
+
+    def test_adversarial_pairs(self):
+        edges = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                 1e-310, 0.5, -1.0, 3.0, 1e308, -1e308, math.inf,
+                 -math.inf, math.nan)
+        rng = np.random.default_rng(12)
+        parts = rng.normal(size=(2, 90)) * 10.0 ** rng.integers(
+            -300, 300, size=(2, 90))
+        # every pair of edges holds the ties |re| = |im|, signed zeros,
+        # subnormals, overflowing products and inf or NaN parts
+        zs = ([complex(a, b) for a in edges for b in edges]
+              + [complex(a, b) for a, b in parts.T])
+        a, b = (np.array(x, dtype=complex) for x in np.meshgrid(zs, zs))
+        assert a.size > 80000
+        with np.errstate(all="ignore"):
+            products = np.asarray(Exact(a) * Exact(b)).ravel().tolist()
+            quotients = np.asarray(Exact(a) / Exact(b)).ravel().tolist()
+        for x, y, p, q in zip(a.ravel().tolist(), b.ravel().tolist(),
+                              products, quotients):
+            want = x * y
+            assert same_bits(p.real, want.real), (x, y, p, want)
+            assert same_bits(p.imag, want.imag), (x, y, p, want)
+            if y == 0:
+                # CPython raises ZeroDivisionError; the array gives NaN
+                assert math.isnan(q.real) and math.isnan(q.imag)
+                continue
+            want = x / y
+            assert same_bits(q.real, want.real), (x, y, q, want)
+            assert same_bits(q.imag, want.imag), (x, y, q, want)
+
+
 class TestSpectrumSweep:
     def test_requires_increasing_grid(self):
         with pytest.raises(ParameterError):
