@@ -9,9 +9,9 @@ kept as a fast cross-check of the solver.
 
 The solver also takes a batch of points: one detector per point, one
 frequency per point, one coupling per point, or any mix of these with
-shared values. It then eliminates all of them at once, with per point the
-pivots and the roundings of the scalar elimination, so the arrays it
-returns equal the scalar results bit for bit.
+shared values. One elimination runs on numbers for one point and on Exact
+arrays for a batch, with each point's own pivots and roundings, so the
+arrays it returns equal the scalar results bit for bit.
 """
 
 import cmath
@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ParameterError, SingularSystemError
-from .exact import Exact
+from .exact import Exact, _raw
 from .model import (_REAL_FIELDS, _real_fields, chi_cavity, chi_cavity_conj,
                     chi_mech)
 
@@ -40,82 +40,70 @@ class OutputCoefficients:
 
 def _back_substitute(a):
     # solve the eliminated upper-triangular rows of a for all four
-    # right-hand-side columns; entries are numbers or Exact arrays
-    out = [[0j] * 4 for _ in range(4)]
-    for j in range(4):
-        for i in range(3, -1, -1):
-            s = a[i][4 + j]
-            for c in range(i + 1, 4):
-                s -= a[i][c] * out[c][j]
-            out[i][j] = s / a[i][i]
+    # right-hand-side columns, s0..s3; entries are numbers or Exact arrays
+    out = [None] * 4
+    for i in range(3, -1, -1):
+        row = a[i]
+        s0, s1, s2, s3 = row[4:]
+        for c in range(i + 1, 4):
+            f, (y0, y1, y2, y3) = row[c], out[c]
+            s0, s1, s2, s3 = s0 - f * y0, s1 - f * y1, s2 - f * y2, s3 - f * y3
+        d = row[i]
+        out[i] = [s0 / d, s1 / d, s2 / d, s3 / d]
     return out
+
+
+def _pick(cond, x, y):
+    # x where cond holds, else y; the elimination branches on values only
+    # here. cond is a bool for one point, a boolean array over a batch.
+    if isinstance(cond, bool):
+        return x if cond else y
+    if cond.all():
+        return x
+    if not cond.any():
+        return y
+    return _where(cond, x, y)
+
+
+def _where(cond, x, y):
+    # x and y are numbers, arrays or sequences of them; Exact stays Exact
+    if isinstance(y, (list, tuple)):
+        return [_where(cond, u, v) for u, v in zip(x, y)]
+    z = np.where(cond, _raw(x), _raw(y))
+    return Exact(z) if isinstance(y, Exact) else z
 
 
 def _solve4(m, rhs):
     # Gaussian elimination with partial pivoting on a 4x4 complex system,
-    # four right-hand sides at once. gamma > 0 keeps the system regular,
-    # so a vanishing pivot is a hard error, not a rank decision.
+    # four right-hand sides at once, on numbers or on Exact arrays of one
+    # length. gamma > 0 keeps the system regular, so a vanishing pivot is a
+    # hard error, not a rank decision.
     a = [list(m[i]) + list(rhs[i]) for i in range(4)]
     pivots = []
     for col in range(4):
-        p = max(range(col, 4), key=lambda r: abs(a[r][col]))
-        if abs(a[p][col]) == 0.0:
-            cond = (max(pivots) / min(pivots)) if pivots else float("inf")
-            raise SingularSystemError(
-                "response system is singular at this frequency",
-                condition=cond)
-        if p != col:
-            a[col], a[p] = a[p], a[col]
-        pivots.append(abs(a[col][col]))
-        inv = 1.0 / a[col][col]
+        # a strict > lets the first maximum win, as max() does
+        p, piv = col, _raw(abs(a[col][col]))
         for r in range(col + 1, 4):
-            fac = a[r][col] * inv
-            if fac != 0.0:
-                row_r, row_c = a[r], a[col]
-                for c in range(col, 8):
-                    row_r[c] -= fac * row_c[c]
-    return _back_substitute(a)
-
-
-def _solve4_batched(m, rhs, n):
-    # _solve4 at n frequencies at once. Entries are numbers or Exact arrays
-    # over the frequencies. Each frequency gets the pivot and the operations,
-    # in the same order, that _solve4 gives it, so the two agree bit for bit.
-    a = [[Exact(np.broadcast_to(np.asarray(x, dtype=complex), (n,)))
-          for x in tuple(m[i]) + tuple(rhs[i])] for i in range(4)]
-    pivots = []
-    for col in range(4):
-        mags = np.stack([np.asarray(abs(a[r][col])) for r in range(col, 4)])
-        p = col + np.argmax(mags, axis=0)  # first maximum wins, as in max()
-        piv = mags.max(axis=0)
-        if not piv.all():
-            k = int(np.argmin(piv))  # the first singular frequency
-            cond = (float(max(pv[k] for pv in pivots)
-                          / min(pv[k] for pv in pivots))
-                    if pivots else float("inf"))
+            mag = _raw(abs(a[r][col]))
+            p, piv = _pick(mag > piv, (r, mag), (p, piv))
+        for r in range(col + 1, 4):  # each point's pivot row moves up
+            a[col], a[r] = _pick(p == r, (a[r], a[col]), (a[col], a[r]))
+        if not a[col][col]:  # a zero pivot, at some point of a batch
+            k = int(np.argmax(np.ravel(piv) == 0.0))  # the first such point
+            seen = [np.ravel(pv)[k] for pv in pivots]
+            cond = float(max(seen) / min(seen)) if seen else float("inf")
             raise SingularSystemError(
-                "response system is singular at this frequency",
-                condition=cond)
-        for r in range(col + 1, 4):
-            swap = p == r
-            if swap.any():
-                for c in range(col, 8):
-                    top, low = a[col][c].value, a[r][c].value
-                    a[col][c] = Exact(np.where(swap, low, top))
-                    a[r][c] = Exact(np.where(swap, top, low))
+                "response system is singular at this frequency", cond)
         pivots.append(piv)
         inv = 1.0 / a[col][col]
+        row_c = a[col]
         for r in range(col + 1, 4):
-            fac = a[r][col] * inv
-            keep = fac.value != 0.0  # _solve4 leaves the row alone elsewhere
-            if not keep.any():
-                continue
-            row_r, row_c = a[r], a[col]
-            # column col is left out: below the pivot it is never read again
-            for c in range(col + 1, 8):
-                new = row_r[c] - fac * row_c[c]
-                row_r[c] = new if keep.all() else Exact(
-                    np.where(keep, new.value, row_r[c].value))
+            row_r = a[r]
+            fac = row_r[col] * inv
+            kept = row_r[:]
+            for c in range(col + 1, 8):  # column col is never read again
+                row_r[c] -= fac * row_c[c]
+            a[r] = _pick(_raw(fac) != 0.0, row_r, kept)  # 0 keeps the row
     return _back_substitute(a)
 
 
@@ -223,8 +211,10 @@ def solve_coefficients(params, omega, g_lin=None):
         (0j, 0j, 1.0 + 0j, 0j),
         (0j, 0j, 0j, 1.0 + 0j),
     )
-    x = _solve4(m, rhs) if n is None else _solve4_batched(m, rhs, n)
-    xa, xad = x[0], x[1]
+    if n is not None:  # every entry an array over the points
+        m, rhs = ([[Exact(np.broadcast_to(np.asarray(x, dtype=complex), (n,)))
+                    for x in row] for row in rows] for rows in (m, rhs))
+    xa, xad = _solve4(m, rhs)[:2]
     ep = cmath.exp(1j * params.theta)
     em = ep.conjugate()
     a = 1j * (sk * xad[0] * em - (sk * xa[0] - 1.0) * ep)

@@ -242,7 +242,8 @@ def _unit_crossings(omegas, logvals):
         a, b = logvals[i], logvals[i + 1]
         if a == 0.0:
             out.append(omegas[i])
-        elif (a < 0.0) != (b < 0.0):
+        # a zero b is recorded once: as the next step's a, or as the last
+        elif b != 0.0 and (a < 0.0) != (b < 0.0):
             t = a / (a - b)
             out.append(omegas[i] + t * (omegas[i + 1] - omegas[i]))
     if logvals and logvals[-1] == 0.0:

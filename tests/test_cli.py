@@ -563,6 +563,17 @@ class TestSqlMapCommand:
         r2x = [r for r in crossings if r[0] == 0.0 and r[1] == "r2"]
         assert r2x and min(abs(r[2] - 1.0) for r in r2x) < 0.01
 
+    def test_crossing_on_a_grid_point_is_written_once(self, tmp_path):
+        # r2 = 1 exactly at omega_m on the v = 0 row, and log10 r2 changes
+        # sign through that grid point here
+        rc = main(["sql-map", "--out", str(tmp_path), "--set", "kappa=0.01",
+                   "--set", "delta_prime=1.5"])
+        assert rc == 0
+        _, crossings = read_csv(tmp_path / "sql_map_contours.csv")
+        r2x = [r[2] for r in crossings if r[0] == 0.0 and r[1] == "r2"]
+        assert r2x.count(1.0) == 1
+        assert len(set(map(tuple, crossings))) == len(crossings)
+
 
 class TestSweepCommand:
     def test_split_sweep_matches_coupling_sweep(self, tmp_path):
@@ -657,9 +668,13 @@ class TestSolveCounts:
               alone=("golden_min", "fit_shot_backaction")):
         # golden_min holds the polish and its parabolic step
         calls = {"scalar": 0, "batched": 0, "elsewhere": 0}
-        scalar, batched = coefficients._solve4, coefficients._solve4_batched
+        solve = coefficients._solve4
 
-        def counted_scalar(*args):
+        def counted(m, rhs):
+            # a batch's entries are Exact arrays, one point's are numbers
+            if isinstance(m[0][0], Exact):
+                calls["batched"] += 1
+                return solve(m, rhs)
             calls["scalar"] += 1
             frame, names = sys._getframe(1), set()
             while frame is not None:
@@ -667,13 +682,8 @@ class TestSolveCounts:
                 frame = frame.f_back
             if not names.intersection(alone):
                 calls["elsewhere"] += 1
-            return scalar(*args)
-
-        def counted_batched(*args):
-            calls["batched"] += 1
-            return batched(*args)
-        monkeypatch.setattr(coefficients, "_solve4", counted_scalar)
-        monkeypatch.setattr(coefficients, "_solve4_batched", counted_batched)
+            return solve(m, rhs)
+        monkeypatch.setattr(coefficients, "_solve4", counted)
         assert main(argv + ["--out", str(tmp_path)]) == 0
         return calls
 

@@ -13,7 +13,7 @@ from omdp_sense import (DetectorParams, OmdpError, ParameterError,
                         s_add, s_add_resonant, s_add_som, solve_coefficients,
                         spectrum_sweep)
 from omdp_sense.checks import random_params, random_t0, reference_params
-from omdp_sense.coefficients import _solve4, _solve4_batched
+from omdp_sense.coefficients import _solve4
 from omdp_sense.exact import Exact
 from omdp_sense.optimize import log_grid
 from omdp_sense.spectra import (POINT_BLOCK, SOLVE_BLOCK, _in_blocks,
@@ -308,11 +308,13 @@ class TestArrayRouteErrors:
             _solve4(*self.singular(3.0 + 0j))
         # three frequencies; the first two are singular, the second with
         # a different pivot history
-        m, rhs = self.singular(Exact(np.array([3.0, 5.0, 2.0 + 0j])))
-        m = m[:2] + ((0j, 0j, Exact(np.array([0j, 0j, 1.0 + 0j])), 1.0 + 0j),
-                     m[3])
+        m, rhs = self.singular(np.array([3.0, 5.0, 2.0 + 0j]))
+        m = m[:2] + ((0j, 0j, np.array([0j, 0j, 1.0 + 0j]), 1.0 + 0j), m[3])
+        # every entry broadcast to an array, as solve_coefficients makes them
+        m, rhs = ([[Exact(np.broadcast_to(np.asarray(x, dtype=complex), (3,)))
+                    for x in row] for row in rows] for rows in (m, rhs))
         with pytest.raises(SingularSystemError) as batched:
-            _solve4_batched(m, rhs, 3)
+            _solve4(m, rhs)
         assert str(batched.value) == str(scalar.value)
         assert batched.value.condition == scalar.value.condition == 3.0
 
@@ -536,6 +538,43 @@ class TestPerPointBatch:
                      ([], 1.05)):
             with pytest.raises(ParameterError):
                 solve_coefficients(*args)
+
+
+def bits(zs):
+    """The bit patterns of complex values: -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(zs, dtype=complex).view(np.uint64)
+
+
+class TestZeroCouplingBatch:
+    """Batches in which some points have G = 0 or V = 0, so that both the
+    pivot rows and the zero elimination factors differ from point to
+    point. Each point equals its own solve bit for bit, signed zeros
+    included."""
+
+    @pytest.mark.parametrize("g_each", [True, False])
+    @pytest.mark.parametrize("seed", range(26))
+    def test_points_equal_their_own_solves(self, seed, g_each):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 10))
+        theta = rng.choice([0.0, rng.uniform(0.1, 3.0)])
+        ps = [replace(random_general(rng), theta=theta) for _ in range(n)]
+        ps = [replace(p, v_coupling=0.0) if rng.random() < 0.4 else p
+              for p in ps]
+        omega = rng.uniform(0.1, 2.5, n)
+        # real and complex couplings, some of them zero
+        gs = rng.uniform(1e-3, 0.3, n) * np.exp(
+            1j * rng.choice([0.0, 1.0], n) * rng.uniform(0.1, 3.0, n))
+        gs[rng.random(n) < 0.4] = 0.0
+        ones = [solve_coefficients(replace(p, g_lin=complex(g)), float(w))
+                for p, w, g in zip(ps, omega, gs)]
+        if g_each:
+            co = solve_coefficients(ps, omega, gs)
+        else:
+            co = solve_coefficients([replace(p, g_lin=complex(g))
+                                     for p, g in zip(ps, gs)], omega)
+        for name in COEFFICIENTS:
+            want = [getattr(one, name) for one in ones]
+            assert np.array_equal(bits(getattr(co, name)), bits(want)), name
 
 
 class TestParameterTypes:

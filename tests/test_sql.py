@@ -308,10 +308,6 @@ class TestRFactors:
         p = params()
         w = omega_eff(1.0, 0.2)
         first = r_factors(p, w)
-        # a module-level memo keyed without g_lin would be refilled here
-        # from the g_lin = 0.05 call and leak into the last one
-        for name in ("_DEN1_CACHE", "_DEN2_CACHE"):
-            getattr(sql, name, {}).clear()
         r_factors(replace(p, g_lin=0.05), w)
         assert r_factors(p, w) == first
 
@@ -407,6 +403,18 @@ class TestRMap:
         m, _, _ = self.grid_map()
         assert len(m.r2_crossings[0]) >= 1
         assert min(abs(w - 1.0) for w in m.r2_crossings[0]) < 0.005
+
+    @pytest.mark.parametrize("logvals, want", [
+        ([-1.0, 0.0, 1.0], (2.0,)),
+        ([1.0, 0.0, -1.0], (2.0,)),
+        ([1.0, 0.0, 1.0], (2.0,)),
+        ([-1.0, 0.0], (2.0,)),
+        ([-1.0, 1.0], (1.5,)),
+        ([1.0, 2.0], ())])
+    def test_a_sign_change_through_zero_is_one_crossing(self, logvals,
+                                                       want):
+        omegas = (1.0, 2.0, 3.0)[:len(logvals)]
+        assert sql._unit_crossings(omegas, logvals) == want
 
 
 class TestSMinSweep:
