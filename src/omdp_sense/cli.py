@@ -254,12 +254,13 @@ def _g17(values):
 
 
 def _number_cells(nums):
-    """A function of (lo, hi) that gives nums[lo:hi] as %.17g text.
+    """A function of (lo, hi, out) that puts nums[lo:hi] in the object
+    array out and returns a mask of the cells left to format.
 
     Values are told apart by bit pattern, so -0.0 and 0.0 stay apart. A
-    value that recurs is formatted once and kept; a value that occurs once
-    is formatted when its block is asked for, so no more is kept than the
-    distinct values that recur. A NaN or inf raises ValueError.
+    value that recurs is formatted once, as %.17g text that out takes; a
+    value that occurs once goes in as a float, for its block's template to
+    format. A NaN or inf raises ValueError.
     """
     if not np.isfinite(nums).all():
         raise ValueError("NaN or inf cell")
@@ -270,46 +271,79 @@ def _number_cells(nums):
     keys = np.append(keys[counts > 1], np.uint64(2 ** 64 - 1))
     kept = np.array(_g17(keys[:-1].view(float)) + [None], dtype=object)
 
-    def cells(lo, hi):
+    def cells(lo, hi, out):
         at = np.searchsorted(keys, bits[lo:hi])
         once = keys[at] != bits[lo:hi]
-        out = kept[at]
-        out[once] = _g17(nums[lo:hi][once])
-        return out
+        out[:] = kept[at]
+        out[once] = nums[lo:hi][once]
+        return once
     return cells
 
 
 def _column_cells(column, quoted):
-    """A function of (lo, hi) that gives a column's cells lo:hi as CSV
-    text: numbers through _number_cells, text through quoted."""
-    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
-        numbers = _number_cells(column.astype(float, copy=False))
-        return lambda lo, hi: numbers(lo, hi).tolist()
-    items = np.array(column, dtype=object)
-    text = np.fromiter(map(isinstance, items, repeat(str)), bool, len(items))
-    if text.all():
-        return lambda lo, hi: list(map(quoted.__getitem__, items[lo:hi]))
-    # a text cell holds 0.0 among the numbers, then its own text
-    numbers = _number_cells(np.where(text, 0.0, items).astype(float))
+    """A function of (lo, hi, out) that puts a column's cells lo:hi in the
+    object array out, numbers through _number_cells and text as quoted
+    gives it, and returns a mask of the numbers left to format.
 
-    def cells(lo, hi):
-        out = numbers(lo, hi)
+    A column is a numeric numpy array, a masked one whose masked cells are
+    empty, or a sequence of numbers and text.
+    """
+    if isinstance(column, np.ma.MaskedArray):
+        text, items = np.ma.getmaskarray(column), None
+        nums = column.filled(0).astype(float, copy=False)
+    elif isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        return _number_cells(column.astype(float, copy=False))
+    elif all(map(isinstance, column, repeat(str))):
+        def texts(lo, hi, out):
+            out[:] = list(map(quoted.__getitem__, column[lo:hi]))
+            return np.zeros(len(out), dtype=bool)
+        return texts
+    else:
+        items = np.array(column, dtype=object)
+        text = np.fromiter(map(isinstance, items, repeat(str)), bool,
+                           len(items))
+        # a text cell holds 0.0 among the numbers, then its own text
+        nums = np.where(text, 0.0, items).astype(float)
+    numbers = _number_cells(nums)
+
+    def cells(lo, hi, out):
+        once = numbers(lo, hi, out)
         at = np.flatnonzero(text[lo:hi])
-        out[at] = list(map(quoted.__getitem__, items[lo:hi][at]))
-        return out.tolist()
+        once[at] = False
+        # a masked cell is empty text
+        out[at] = (quoted[""] if items is None
+                   else list(map(quoted.__getitem__, items[lo:hi][at])))
+        return once
     return cells
 
 
 def _write_csv(fh, header, columns):
     """Write the header, then the columns as rows, CSV_CHUNK rows at a time,
     with the bytes of csv.writer and %.17g numbers, which round-trip every
-    float and print integers whole."""
+    float and print integers whole.
+
+    A block is written by one %-format. Its template joins one row template
+    per row: a %.17g slot for each number left to format, a %s slot for
+    each cell already text. A row template is made when its pattern of
+    slots is first seen.
+    """
     csv.writer(fh, lineterminator="\n").writerow(header)
     quoted = _Quoted(len(columns) == 1)
     cells = [_column_cells(c, quoted) for c in columns]
-    for lo in range(0, len(columns[0]), CSV_CHUNK):
-        block = zip(*[f(lo, lo + CSV_CHUNK) for f in cells])
-        fh.write("\n".join(map(",".join, block)) + "\n")
+    templates, n = {}, len(columns[0])  # a row template per slot pattern
+    for lo in range(0, n, CSV_CHUNK):
+        hi = min(lo + CSV_CHUNK, n)
+        values = np.empty((hi - lo, len(cells)), dtype=object)
+        once = np.column_stack([f(lo, hi, values[:, j])
+                                for j, f in enumerate(cells)])
+        # one hashable key per row: its slot pattern, packed into bytes
+        packed = np.packbits(once, axis=1)
+        keys = packed.view("S%d" % packed.shape[1]).ravel().tolist()
+        for key in set(keys).difference(templates):
+            slots = np.where(once[keys.index(key)], "%.17g", "%s")
+            templates[key] = ",".join(slots.tolist()) + "\n"
+        fh.write("".join(map(templates.__getitem__, keys))
+                 % tuple(values.ravel().tolist()))
 
 
 def _fill(path, write):
@@ -388,10 +422,12 @@ class Emitter:
         return self._write(filename, write)
 
     def table_file(self, stem, header, *columns):
-        """One table, given column by column: numpy arrays, or sequences
-        of numbers and text."""
+        """One table, given column by column: numpy arrays, masked ones
+        whose masked cells are empty, or sequences of numbers and text."""
         if self.fmt == "json":
-            columns = [c.tolist() if isinstance(c, np.ndarray) else c
+            columns = [c.astype(object).filled("").tolist()
+                       if isinstance(c, np.ma.MaskedArray)
+                       else c.tolist() if isinstance(c, np.ndarray) else c
                        for c in columns]
             return self._json(stem + ".json",
                               {"columns": list(header),
@@ -442,12 +478,12 @@ def cmd_spectrum(config, emitter):
     som = s_add_som(1.0, gamma, t["kappa"], t["g"], nth, Exact(ws))
     # the single-oscillator series has no gain |E|: its a_p cells are empty
     parts.append((ws, np.asarray(som), np.full(len(ws), gamma * nth),
-                  np.full(len(ws), "", dtype=object), ["som"] * len(ws)))
+                  np.ma.masked_all(len(ws)), ["som"] * len(ws)))
     omega, s_add, s_th, a_p, series = zip(*parts)
     emitter.table_file("spectrum",
                        ("omega_over_omega_m", "s_add", "s_th", "a_p", "series"),
-                       *map(np.concatenate, (omega, s_add, s_th, a_p)),
-                       list(chain(*series)))
+                       *map(np.concatenate, (omega, s_add, s_th)),
+                       np.ma.concatenate(a_p), list(chain(*series)))
 
 
 def cmd_sql_map(config, emitter):

@@ -100,10 +100,8 @@ def _solve4(m, rhs):
         for r in range(col + 1, 4):
             row_r = a[r]
             fac = row_r[col] * inv
-            kept = row_r[:]
             for c in range(col + 1, 8):  # column col is never read again
                 row_r[c] -= fac * row_c[c]
-            a[r] = _pick(_raw(fac) != 0.0, row_r, kept)  # 0 keeps the row
     return _back_substitute(a)
 
 

@@ -11,10 +11,11 @@ import sys
 import tempfile
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from omdp_sense import cli, coefficients, sql
 from omdp_sense.cli import SCHEMA, main, resolve_table, load_config_file
@@ -375,6 +376,14 @@ class TestSpectrumCommand:
         som = min(r[1] for r in rows if r[4] == "som")
         assert abs(dual - som) / som < 0.05
 
+    def test_json_som_rows_have_empty_a_p(self, tmp_path):
+        assert main(["spectrum", "--format", "json", "--set", "base_points=11",
+                     "--out", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "spectrum.json").read_text())[
+            "data"]["rows"]
+        assert {r[3] for r in rows if r[4] == "som"} == {""}
+        assert {type(r[3]) for r in rows if r[4] != "som"} == {float}
+
     def test_si_units_equivalent(self, tmp_path):
         w = 2 * math.pi * 10.56e6
         a = tmp_path / "a"
@@ -464,25 +473,37 @@ class TestCsvEmission:
 
     def test_each_distinct_number_is_formatted_once(self, tmp_path,
                                                     monkeypatch):
-        calls = []
+        # a recurring value is formatted once, by _g17, up front; a value
+        # that occurs once is left as a float for one slot of its block's
+        # template
+        kept, left = [], []
+        g17, column_cells = cli._g17, cli._column_cells
 
         def counting(values):
-            calls.append(values.tolist())
+            kept.extend(values.tolist())
             return g17(values)
-        g17 = cli._g17
+
+        def recording(column, quoted):
+            cells = column_cells(column, quoted)
+
+            def recorded(lo, hi, out):
+                once = cells(lo, hi, out)
+                left.append(out[once].tolist())
+                return once
+            return recorded
         monkeypatch.setattr(cli, "_g17", counting)
+        monkeypatch.setattr(cli, "_column_cells", recording)
         n = 3 * cli.CSV_CHUNK
         # 7 values that recur across every chunk, -0.0 and 0.0 among them,
         # and n values that occur once
         recurring = np.array([0.5, -0.0, 0.0, 2.0, 1e-300, 3.0, 0.1] * n)[:n]
         once = np.arange(n) + 0.5
         self.emit(tmp_path, ("r", "o"), recurring, once)
-        calls = [c for c in calls if c]
-        # the recurring values once, up front; each value that occurs once
-        # in the chunk that writes it
-        assert sorted(map(float.hex, calls[0])) == sorted(
+        assert sorted(map(float.hex, kept)) == sorted(
             map(float.hex, recurring[:7].tolist()))
-        assert calls[1:] == [c.tolist() for c in np.split(once, 3)]
+        # per chunk, none of r's cells and each of o's
+        assert left == [x for c in np.split(once, 3) for x in ([], c.tolist())]
+        assert {type(x) for c in left for x in c} == {float}
 
     @pytest.mark.parametrize("column", [
         np.array([math.nan] + [0.5] * 5000),
@@ -520,6 +541,83 @@ class TestCsvEmission:
         path = tmp_path / "blob"
         path.write_bytes(data)
         assert cli._digest(str(path)) == hashlib.sha256(data).hexdigest()
+
+
+# cells that %.17g or csv.writer treat apart, drawn often so that they recur
+# in their column: signed zeros, subnormals, extremes, quotes, separators,
+# line breaks, empty text and the format's own %
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308,
+               -1e308, 0.1, 1.0, 3.0)
+FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False,
+                                                  allow_infinity=False)
+INTS = st.integers(-2 ** 63, 2 ** 63 - 1)
+TEXTS = st.sampled_from(("", "som", "a,b", 'say "hi"', "a\nb", "cr\r",
+                         "%s", "100%")) | st.text(
+    st.sampled_from('a,"\n\r %'), max_size=4)
+
+
+@st.composite
+def typed_columns(draw, rows):
+    """A table column of one kind, and its cells as csv.writer takes them:
+    numbers, or text where the column has text or a masked cell."""
+    kind = draw(st.sampled_from(("float", "int", "masked", "text", "mixed")))
+    cell = {"int": INTS, "text": TEXTS,
+            "mixed": FLOATS | INTS | TEXTS}.get(kind, FLOATS)
+    cells = draw(st.lists(cell, min_size=rows, max_size=rows))
+    if kind == "masked":
+        mask = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+        return (np.ma.masked_array(cells, mask=mask),
+                ["" if m else x for x, m in zip(cells, mask)])
+    if kind == "float":
+        return np.array(cells, dtype=float), cells
+    if kind == "int":
+        return np.array(cells, dtype=np.int64), cells
+    return cells, cells
+
+
+@st.composite
+def typed_tables(draw):
+    """1 to 24 columns of 0 to 12 rows, and the rows per chunk to write
+    them with."""
+    rows = draw(st.integers(0, 12))
+    columns = draw(st.lists(typed_columns(rows), min_size=1, max_size=24))
+    return columns, draw(st.integers(1, 5))
+
+
+# examples per run come from the hypothesis profile (tests/conftest.py)
+@settings(deadline=None)
+@given(typed_tables())
+# 24 columns: a writer that made a template for each of the 2 ** 24 slot
+# patterns up front would not finish
+@example(table=([(np.array([0.5, 0.5]), [0.5, 0.5])] * 24, 1))
+# alone in its row, an empty cell is a pair of quotes
+@example(table=([(np.ma.masked_array([0.5, 1.0], mask=[True, False]),
+                  ["", 1.0])], 1))
+def test_typed_tables_write_as_csv_writer_does(table):
+    columns, chunk = table
+    header = ["c%d" % j for j in range(len(columns))]
+    buf = io.StringIO()
+    with mock.patch.object(cli, "CSV_CHUNK", chunk):
+        cli._write_csv(buf, header, [c for c, _ in columns])
+    assert buf.getvalue().encode("utf-8") == csv_writer_bytes(
+        header, list(zip(*(cells for _, cells in columns))))
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--set", "base_points=21"],
+    ["sql-map", "--set", "omega_points=11", "--set", "v_points=4"],
+    ["sweep", "--set", "points=5"],
+    ["sweep", "--set", "panel=c", "--set", "mode=sql", "--set", "points=5"],
+    ["snr", "--set", "v_points=4", "--set", "t_points=4",
+     "--set", "b_points=4"]])
+def test_written_tables_reread_as_csv_writer_bytes(tmp_path, argv):
+    # every table, read back and written again by csv.writer with its
+    # numbers as %.17g, gives the bytes the command wrote
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    tables = sorted(tmp_path.glob("*.csv"))
+    assert tables
+    for path in tables:
+        assert path.read_bytes() == csv_writer_bytes(*read_csv(path))
 
 
 # the snr defaults need no spectrum-sized grids, so keep full defaults here
