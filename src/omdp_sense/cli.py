@@ -27,8 +27,8 @@ from .exact import Exact
 from .model import DetectorParams, frequency_grid, omega_eff
 from .spectra import s_add_som, spectrum_sweep
 from .sql import r_map, s_min_sweep
-from .sensing import (DEFAULT_RATE_SCALE, MagnetometerConfig, _s_r_each,
-                      make_report, response_coefficient, s_r, snr)
+from .sensing import (DEFAULT_RATE_SCALE, MagnetometerConfig, make_report,
+                      response_coefficient, s_r, snr)
 
 
 @dataclass(frozen=True)
@@ -547,16 +547,15 @@ def cmd_snr(config, emitter):
         temperature=temperature), t["anchor_snr"], rate_scale)
     rp, ra = reports["power"], reports["amplitude"]
 
-    # enhancement against coupling, with one baseline floor search for
-    # every coupling, and against temperature
+    # enhancement against coupling and against temperature, each table
+    # with one baseline floor search
     vs = np.linspace(t["v_lo"], t["v_hi"], t["v_points"]).tolist()
-    s_rs = list(_s_r_each((replace(base, v_coupling=v) for v in vs),
-                          temperature, rate_scale))
-    emitter.table_file("s_r_vs_v", ("v_over_omega_m", "s_r"), vs, s_rs)
+    emitter.table_file("s_r_vs_v", ("v_over_omega_m", "s_r"), vs, s_r(
+        [replace(base, v_coupling=v) for v in vs], temperature, rate_scale))
 
     temps = np.geomspace(t["t_lo"], t["t_hi"], t["t_points"]).tolist()
     emitter.table_file("s_r_vs_temperature", ("temperature_k", "s_r"), temps,
-                       [s_r(base, tk, rate_scale) for tk in temps])
+                       s_r(base, temps, rate_scale))
 
     emitter.table_file("snr_spectrum",
                        ("omega_over_omega_m", "snr_power", "snr_amplitude"),

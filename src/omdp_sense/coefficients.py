@@ -11,7 +11,9 @@ The solver also takes a batch of points: one detector per point, one
 frequency per point, one coupling per point, or any mix of these with
 shared values. One elimination runs on numbers for one point and on Exact
 arrays for a batch, with each point's own pivots and roundings, so the
-arrays it returns equal the scalar results bit for bit.
+arrays it returns equal the scalar results bit for bit. The one exception
+is a point whose coefficients are all NaN, where the NaNs may carry other
+sign bits; callers redo or refuse such a point, so no output moves.
 """
 
 import cmath
@@ -171,7 +173,9 @@ def solve_coefficients(params, omega, g_lin=None):
     and ``g_lin``, if given, one coupling or a 1-D array of n that stand
     in for the detectors' couplings. A value given once holds at every
     point, and the detectors of a batch must share theta. A batch gives
-    coefficient arrays, bit-identical to solving point by point.
+    coefficient arrays, bit-identical to solving point by point, save that
+    at a point whose coefficients are all NaN the NaNs' sign bits may
+    differ.
     """
     n = _batch_size(params, omega, g_lin)
     if n is None:

@@ -107,23 +107,35 @@ def s_r(params, temperature, rate_scale):
     best single-oscillator SNR over frequency with the same oscillator-1
     rates, cavity linewidth and coupling. Signal factors cancel, so this is
     the baseline noise floor divided by the dual-probe noise, independent of
-    xi, field and calibration.
+    xi, field and calibration. The baseline's thermal term gamma1 n1 does
+    not depend on frequency, so its floor is the T = 0 floor F0 plus
+    gamma1 n1: S_R = (F0 + gamma1 n1) / S_add(p_T, omega_eff).
+
+    One point, or a list of points: ``params`` is one detector or a list of
+    detectors, ``temperature`` one temperature or a list. A value given
+    once holds at every point. One point gives a float, a list of points a
+    list. F0 is searched once per distinct baseline (omega_m1, gamma1,
+    kappa, |g|) within the call, after the first dual-probe noise that
+    needs it, so errors come in point order.
     """
-    return next(_s_r_each((params,), temperature, rate_scale))
-
-
-def _s_r_each(detectors, temperature, rate_scale):
-    """s_r of each detector, in order, for detectors that differ only in
-    v_coupling. The baseline floor reads no v_coupling, so one search
-    serves them all; it is made where s_r makes it, after the first
-    detector's dual-probe noise."""
-    floor = None
-    for params in detectors:
-        pt = _thermalized(params, temperature, rate_scale)
+    sizes = [len(x) for x in (params, temperature)
+             if isinstance(x, (list, tuple))]
+    if len(set(sizes)) > 1:
+        raise ParameterError("detectors and temperatures differ in length: "
+                             "%s" % sizes)
+    n = sizes[0] if sizes else 1
+    detectors = params if isinstance(params, (list, tuple)) else [params] * n
+    temps = (temperature if isinstance(temperature, (list, tuple))
+             else [temperature] * n)
+    floors, out = {}, []
+    for p, tk in zip(detectors, temps):
+        pt = _thermalized(p, tk, rate_scale)
         dual = s_add(pt, omega_eff(pt.omega_m1, pt.v_coupling)).s_add
-        if floor is None:
-            floor = som_noise_floor(pt)
-        yield floor / dual
+        key = (pt.omega_m1, pt.gamma1, pt.kappa, abs(pt.g_lin))
+        if key not in floors:
+            floors[key] = som_noise_floor(_thermalized(p, 0.0, rate_scale))
+        out.append((floors[key] + pt.gamma1 * pt.nth1) / dual)
+    return out if sizes else out[0]
 
 
 def _loglog_fit(noise, xi_normalized, b_values, convention):

@@ -294,20 +294,25 @@ class TestExitCodes:
         assert rc == 0
 
     @pytest.mark.parametrize("blocked", [
-        "", "spectrum.csv", "spectrum.csv.manifest.json"])
+        "", "sub", "spectrum.csv", "spectrum.csv.manifest.json"])
     def test_unwritable_output_is_two(self, tmp_path, capsys, blocked):
-        # --out names a regular file, or a directory takes the path of a
-        # data file or of its manifest
+        # --out names a regular file ("") or a path under one ("sub"), or a
+        # directory takes the path of a data file or of its manifest
         out = tmp_path / "out"
-        if blocked:
+        if blocked.startswith("spectrum"):
             (out / blocked).mkdir(parents=True)
         else:
             out.write_text("")
+            out = out / blocked
         rc = main(["spectrum", "--set", "base_points=11", "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("usage error:")
-        assert err.count("\n") == 1 and str(out / blocked) in err
-        assert not blocked or [p.name for p in out.iterdir()] == [blocked]
+        assert err.count("\n") == 1
+        if blocked.startswith("spectrum"):
+            assert str(out / blocked) in err
+            assert [p.name for p in out.iterdir()] == [blocked]
+        else:
+            assert str(out) in err
 
     @pytest.mark.parametrize("target", ["data", "manifest"])
     @pytest.mark.parametrize("error, rc", [

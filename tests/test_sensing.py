@@ -12,6 +12,7 @@ from omdp_sense import (MagnetometerConfig, ParameterError, frequency_grid,
                         thermal_occupation)
 from omdp_sense import sensing
 from omdp_sense.checks import reference_params
+from omdp_sense.cli import main
 
 W_SI = 2.0 * math.pi * 10.56e6
 GAMMA = 32.0 / 10.56e6        # 2*pi*32 Hz in mechanical-frequency units
@@ -145,17 +146,66 @@ class TestEnhancementFactor:
             sensing.som_noise_floor(p)
         assert str(floor.value) == str(loop.value)
 
+    @staticmethod
+    def _count_floor_searches(monkeypatch):
+        floor, calls = sensing.som_noise_floor, []
+        monkeypatch.setattr(sensing, "som_noise_floor",
+                            lambda p: calls.append(p) or floor(p))
+        return calls
+
     def test_coupling_table_searches_the_floor_once(self, monkeypatch):
         # the floor reads no v, so the s_r_vs_v table needs one search
         vs = np.linspace(0.02, 0.4, 20).tolist()
         want = [s_r(params(v_coupling=v), 1e-3, W_SI) for v in vs]
-        floor, calls = sensing.som_noise_floor, []
-        monkeypatch.setattr(sensing, "som_noise_floor",
-                            lambda p: calls.append(p) or floor(p))
-        got = list(sensing._s_r_each((params(v_coupling=v) for v in vs),
-                                     1e-3, W_SI))
+        calls = self._count_floor_searches(monkeypatch)
+        got = s_r([params(v_coupling=v) for v in vs], 1e-3, W_SI)
         assert got == want
         assert len(calls) == 1
+
+    def test_temperature_table_searches_the_floor_once(self, monkeypatch):
+        # the floor's thermal term gamma1 n1 is frequency-independent, so
+        # the T = 0 floor serves every temperature
+        temps = np.geomspace(1e-4, 300.0, 25).tolist()
+        want = [s_r(params(), tk, W_SI) for tk in temps]
+        calls = self._count_floor_searches(monkeypatch)
+        assert s_r(params(), temps, W_SI) == want
+        assert len(calls) == 1
+
+    def test_one_search_per_distinct_baseline(self, monkeypatch):
+        ps = [params(), params(kappa=0.2), params(v_coupling=0.3),
+              params(g_lin=-0.03), params(gamma1=2 * GAMMA)]
+        temps = [1e-3, 1e-3, 1.0, 10.0, 1e-3]
+        want = [s_r(p, tk, W_SI) for p, tk in zip(ps, temps)]
+        calls = self._count_floor_searches(monkeypatch)
+        assert s_r(ps, temps, W_SI) == want
+        assert len(calls) == 3
+
+    def test_list_lengths_must_agree(self):
+        with pytest.raises(ParameterError):
+            s_r([params()] * 2, [1e-3] * 3, W_SI)
+
+    def test_snr_searches_the_floor_once_per_table(self, monkeypatch,
+                                                   tmp_path):
+        calls = self._count_floor_searches(monkeypatch)
+        assert main(["snr", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 2
+
+    def test_closed_form_in_occupation(self):
+        # identical oscillators halve the dual probe's thermal noise,
+        # |C/E|^2 + |D/E|^2 = 1/2, so S_R = (F0 + gamma n)/(S0 + gamma n/2)
+        p = reference_params()
+        s0 = s_add(p, omega_eff(p.omega_m1, p.v_coupling)).s_add
+        f0 = sensing.som_noise_floor(p)
+        for nth in (1e3, 1e4, 1e5):
+            T = occupation_temperature(W_SI, nth)
+            n = thermal_occupation(W_SI, T)
+            want = (f0 + p.gamma1 * n) / (s0 + p.gamma1 * n / 2)
+            assert s_r(p, T, W_SI) == pytest.approx(want, rel=1e-12)
+        # S_R reaches 1.9 one order above n = 1e3
+        n_star = 20.0 * (1.9 * s0 - f0) / p.gamma1
+        assert n_star == pytest.approx(1.07e4, rel=0.01)
+        T = occupation_temperature(W_SI, n_star)
+        assert s_r(p, T, W_SI) == pytest.approx(1.9, rel=1e-9)
 
     def test_room_temperature_limit(self):
         assert s_r(params(), 300.0, W_SI) == pytest.approx(2.0, rel=0.05)

@@ -207,6 +207,18 @@ class TestArrayOptimum:
                 continue
             assert (s > 0).all(), v
 
+    @pytest.mark.parametrize("g", [1e-3, 0.03, 1.0])
+    def test_tiny_damping_limit_is_positive_by_both_routes(self, g):
+        # at gamma = 1e-100 p and q are huge and r nearly cancels them; on
+        # the sql-map grid at defaults the limit must stay above zero point
+        # by point and on arrays
+        ws = np.linspace(0.9, 1.15, 101)
+        for v in np.linspace(0.0, 0.3, 13).tolist():
+            p = params(gamma1=1e-100, gamma2=1e-100, g_lin=g, v_coupling=v)
+            assert (sql._t0_limits(p, Exact(ws)) > 0).all(), v
+            assert all(minimize_over_g_analytic(p, w).s_sql > 0
+                       for w in ws.tolist()), v
+
 
 class TestNumericMinimizer:
     def test_boundary_flagged(self):
