@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -265,10 +265,13 @@ def _number_cells(nums):
     if not np.isfinite(nums).all():
         raise ValueError("NaN or inf cell")
     bits = nums.view(np.uint64)
-    keys, counts = np.unique(bits, return_counts=True)
+    # a recurring value is the last of a run of equal neighbours once sorted
+    run = np.sort(bits)
+    last = run[1:] == run[:-1]
+    last[:-1] &= run[2:] != run[1:-1]
     # the recurring values in order, then all ones, a NaN's bit pattern:
     # every search lands on a key, and no finite value matches the last
-    keys = np.append(keys[counts > 1], np.uint64(2 ** 64 - 1))
+    keys = np.append(run[1:][last], np.uint64(2 ** 64 - 1))
     kept = np.array(_g17(keys[:-1].view(float)) + [None], dtype=object)
 
     def cells(lo, hi, out):
@@ -467,23 +470,46 @@ def cmd_spectrum(config, emitter):
     span = (t["span_lo"], t["span_hi"])
     _check_rows("spectrum", (len(t["v_list"]) + 1) * points,
                 ("v_list", "base_points"))
-    parts = []  # per series: omega, s_add, s_th, a_p, series label
-    for v in t["v_list"]:
-        params = _detector(t, v, nth)
-        grid = frequency_grid([1.0, omega_eff(1.0, v)], gamma, span, points)
-        res = spectrum_sweep(params, grid)
-        parts.append((res.omega, res.s_add, res.s_th, res.a_p,
-                      ["v=%g" % v] * len(grid)))
-    ws = frequency_grid([1.0], gamma, span, points)
-    som = s_add_som(1.0, gamma, t["kappa"], t["g"], nth, Exact(ws))
+    # per series, in v order and then the single oscillator: its label and
+    # detector, and its grid; an error is raised after the sweeps of the
+    # series before it, as a loop over the values would raise it
+    series, grids, failure = [], [], None
+    try:
+        for v in t["v_list"]:
+            params = _detector(t, v, nth)
+            grids.append(frequency_grid([1.0, omega_eff(1.0, v)], gamma,
+                                        span, points))
+            series.append(("v=%g" % v, params))
+        grids.append(frequency_grid([1.0], gamma, span, points))
+        series.append(("som", None))
+    except (OmdpError, ArithmeticError) as exc:
+        failure = exc
+    # each column allocated once, each series copied into its slice
+    ends = np.cumsum([0] + list(map(len, grids))).tolist()
+    omega = np.concatenate([np.empty(0)] + grids)
+    del grids
+    n = len(omega)
+    s_add, s_th = np.empty(n), np.empty(n)
     # the single-oscillator series has no gain |E|: its a_p cells are empty
-    parts.append((ws, np.asarray(som), np.full(len(ws), gamma * nth),
-                  np.ma.masked_all(len(ws)), ["som"] * len(ws)))
-    omega, s_add, s_th, a_p, series = zip(*parts)
+    a_p = np.ma.masked_all(n)
+    for (_, params), lo, hi in zip(series, ends, ends[1:]):
+        part = slice(lo, hi)
+        if params is None:
+            s_add[part] = np.asarray(s_add_som(
+                1.0, gamma, t["kappa"], t["g"], nth, Exact(omega[part])))
+            s_th[part] = gamma * nth
+        else:
+            res = spectrum_sweep(params, omega[part])
+            s_add[part], s_th[part], a_p[part] = res.s_add, res.s_th, res.a_p
+            del res
+    if failure is not None:
+        raise failure
+    # the labels after the sweeps, so their column is not held through them
+    label = np.repeat(np.array([name for name, _ in series], dtype=object),
+                      np.diff(ends))
     emitter.table_file("spectrum",
                        ("omega_over_omega_m", "s_add", "s_th", "a_p", "series"),
-                       *map(np.concatenate, (omega, s_add, s_th)),
-                       np.ma.concatenate(a_p), list(chain(*series)))
+                       omega, s_add, s_th, a_p, label)
 
 
 def cmd_sql_map(config, emitter):

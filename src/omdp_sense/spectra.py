@@ -12,8 +12,8 @@ from .exact import Exact
 from .model import chi_mech
 
 # frequencies per batched solve in spectrum_sweep: large enough to amortize
-# the per-call overhead, small enough that the block's temporaries stay a
-# few megabytes
+# the per-call overhead; a full block's temporaries take about 7 MB, peak
+# resident memory over resident memory after one sweep
 SOLVE_BLOCK = 8192
 
 # points per block of _in_blocks and of validate's batched checks: a

@@ -101,20 +101,26 @@ def _t0_limits(params, omega):
     return np.where((p > 0) & (q > 0), 2.0 * np.sqrt(p * q) + r, np.nan)
 
 
-def _s_sql(params, omega):
+def _s_sql(params, omega, first=None):
     """minimize_over_g_analytic(params, omega).s_sql; for an Exact
     frequency array, a float array equal to it point by point, bit for bit.
 
     An array point that fails the balance test or is not finite is redone
     alone, in grid order, so it keeps the scalar value or raises the scalar
-    route's own error.
+    route's own error. On an array, ``first``, if given, is called with the
+    first point's value before any later point is redone.
     """
     if not isinstance(omega, Exact):
         return minimize_over_g_analytic(params, omega).s_sql
     _require_t0(params)
     ws = omega.value
     ys = _in_blocks(lambda w: _t0_limits(params, Exact(w)), ws)
-    return _redo(lambda w: minimize_over_g_analytic(params, w).s_sql, ws, ys)
+
+    def limit(w):
+        return minimize_over_g_analytic(params, w).s_sql
+    if first is not None and len(ys):
+        first(float(_redo(limit, ws[:1], ys[:1])[0]))
+    return _redo(limit, ws, ys)
 
 
 def minimize_over_g_numeric(params, omega, g_range):
@@ -213,17 +219,17 @@ def r_factors(params, omega):
     frequency array; the ratios are then float arrays, each value equal bit
     for bit to the call at that frequency alone.
     """
-    if isinstance(omega, Exact) and omega.value.size:
-        # the first frequency alone raises what a loop over the points
-        # would raise first: its own optimum's error, a reference limit's,
-        # or the division by a zero limit
-        r_factors(params, omega.value[0])
-    num = _s_sql(params, omega)
-    den1 = som_sql(params.omega_m1, params.gamma1, params.kappa,
-                   params.omega_m1)
-    den2 = minimize_over_g_analytic(replace(params, v_coupling=0.0),
-                                    params.omega_m1).s_sql
-    return {"r1": num / den1, "r2": num / den2}
+    def ratios(num):
+        den1 = som_sql(params.omega_m1, params.gamma1, params.kappa,
+                       params.omega_m1)
+        den2 = minimize_over_g_analytic(replace(params, v_coupling=0.0),
+                                        params.omega_m1).s_sql
+        return {"r1": num / den1, "r2": num / den2}
+    # on an array, the first frequency's ratios, as floats, raise what a
+    # loop over the points would raise after that point's own error and
+    # before the others': a reference limit's error, or the division by a
+    # zero limit
+    return ratios(_s_sql(params, omega, first=ratios))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -114,6 +115,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    @pytest.mark.parametrize("settings, message", [
+        # the second coupling's detector is unstable; its grid would fail too
+        (["v_list=0.2,-1"],
+         "v_coupling^2 = 1 exceeds omega_m1*omega_m2 = 1 (unstable)"),
+        # the first coupling's sweep fails before the second's detector
+        (["g=0", "v_list=0,-1"], "output transduction vanished")])
+    def test_spectrum_raises_in_coupling_order(self, tmp_path, capsys,
+                                              settings, message):
+        argv = ["spectrum", "--out", str(tmp_path)]
+        for setting in settings:
+            argv += ["--set", setting]
+        rc = main(argv)
+        assert rc == 1
+        assert capsys.readouterr().err == "error: %s\n" % message
         assert not (tmp_path / "spectrum.csv").exists()
 
     @pytest.mark.parametrize("setting, key", [
@@ -388,6 +405,21 @@ class TestSpectrumCommand:
             "data"]["rows"]
         assert {r[3] for r in rows if r[4] == "som"} == {""}
         assert {type(r[3]) for r in rows if r[4] != "som"} == {float}
+
+    def test_dense_table_peak_memory(self, tmp_path):
+        # a 201,477-row table: with its columns filled in place it traced
+        # 17.2 MB (numpy 2.4); holding every series beside their
+        # concatenation, and np.unique with counts per column, traced 27.1
+        tracemalloc.start()
+        try:
+            rc = main(["spectrum", "--out", str(tmp_path),
+                       "--set", "v_list=0,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4",
+                       "--set", "base_points=20001"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 20e6
 
     def test_si_units_equivalent(self, tmp_path):
         w = 2 * math.pi * 10.56e6
