@@ -260,10 +260,8 @@ def _number_cells(nums):
     Values are told apart by bit pattern, so -0.0 and 0.0 stay apart. A
     value that recurs is formatted once, as %.17g text that out takes; a
     value that occurs once goes in as a float, for its block's template to
-    format. A NaN or inf raises ValueError.
+    format. Only a cell that a caller empties may hold a NaN or inf.
     """
-    if not np.isfinite(nums).all():
-        raise ValueError("NaN or inf cell")
     bits = nums.view(np.uint64)
     # a recurring value is the last of a run of equal neighbours once sorted
     run = np.sort(bits)
@@ -285,37 +283,38 @@ def _number_cells(nums):
 
 def _column_cells(column, quoted):
     """A function of (lo, hi, out) that puts a column's cells lo:hi in the
-    object array out, numbers through _number_cells and text as quoted
-    gives it, and returns a mask of the numbers left to format.
+    object array out and returns a mask of the numbers left to format.
 
-    A column is a numeric numpy array, a masked one whose masked cells are
-    empty, or a sequence of numbers and text.
+    A column is text (every cell a str, quoted as quoted gives it), numbers
+    (a numeric array or a sequence of numbers, through _number_cells) or a
+    masked numeric array, whose masked cells are empty whatever they hold.
+    A NaN or inf in a cell not empty raises ValueError, and a column that
+    mixes text and numbers TypeError.
     """
+    empty = False
     if isinstance(column, np.ma.MaskedArray):
-        text, items = np.ma.getmaskarray(column), None
-        nums = column.filled(0).astype(float, copy=False)
-    elif isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
-        return _number_cells(column.astype(float, copy=False))
-    elif all(map(isinstance, column, repeat(str))):
-        def texts(lo, hi, out):
-            out[:] = list(map(quoted.__getitem__, column[lo:hi]))
-            return np.zeros(len(out), dtype=bool)
-        return texts
-    else:
-        items = np.array(column, dtype=object)
-        text = np.fromiter(map(isinstance, items, repeat(str)), bool,
-                           len(items))
-        # a text cell holds 0.0 among the numbers, then its own text
-        nums = np.where(text, 0.0, items).astype(float)
+        # the data as it stands, not a filled copy
+        empty, column = np.ma.getmaskarray(column), column.data
+    elif not (isinstance(column, np.ndarray) and column.dtype.kind in "biuf"):
+        if all(map(isinstance, column, repeat(str))):
+            def texts(lo, hi, out):
+                out[:] = list(map(quoted.__getitem__, column[lo:hi]))
+                return np.zeros(len(out), dtype=bool)
+            return texts
+        if any(map(isinstance, column, repeat(str))):
+            raise TypeError("a table column mixes text and numbers")
+    nums = np.asarray(column, dtype=float)
+    if not (np.isfinite(nums) | empty).all():
+        raise ValueError("NaN or inf cell")
     numbers = _number_cells(nums)
+    if empty is False:
+        return numbers
 
     def cells(lo, hi, out):
         once = numbers(lo, hi, out)
-        at = np.flatnonzero(text[lo:hi])
+        at = np.flatnonzero(empty[lo:hi])
         once[at] = False
-        # a masked cell is empty text
-        out[at] = (quoted[""] if items is None
-                   else list(map(quoted.__getitem__, items[lo:hi][at])))
+        out[at] = quoted[""]  # a masked cell is empty text
         return once
     return cells
 
@@ -425,8 +424,9 @@ class Emitter:
         return self._write(filename, write)
 
     def table_file(self, stem, header, *columns):
-        """One table, given column by column: numpy arrays, masked ones
-        whose masked cells are empty, or sequences of numbers and text."""
+        """One table, given column by column. A column is text (a sequence
+        of str), numbers (a numeric array or a sequence of numbers) or a
+        masked numeric array, whose masked cells are empty."""
         if self.fmt == "json":
             columns = [c.astype(object).filled("").tolist()
                        if isinstance(c, np.ma.MaskedArray)
@@ -490,8 +490,9 @@ def cmd_spectrum(config, emitter):
     del grids
     n = len(omega)
     s_add, s_th = np.empty(n), np.empty(n)
-    # the single-oscillator series has no gain |E|: its a_p cells are empty
-    a_p = np.ma.masked_all(n)
+    # the single-oscillator series has no gain |E|: its a_p cells are
+    # empty, and hold 0.0 rather than whatever np.empty would leave
+    a_p = np.ma.masked_array(np.zeros(n), mask=True)
     for (_, params), lo, hi in zip(series, ends, ends[1:]):
         part = slice(lo, hi)
         if params is None:

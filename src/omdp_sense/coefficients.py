@@ -2,10 +2,10 @@
 
 Two independent routes compute the same decomposition. ``solve_coefficients``
 assembles the frequency-domain response system and eliminates it directly;
-it handles arbitrary homodyne phase and independent complex couplings, and
-it is the canonical path everywhere downstream. ``closed_form_coefficients``
-is the compact algebraic expression, valid for theta = 0 and equal couplings,
-kept as a fast cross-check of the solver.
+it handles arbitrary homodyne phase and a complex coupling, shared by both
+oscillators, and it is the canonical path everywhere downstream.
+``closed_form_coefficients`` is the compact algebraic expression, valid for
+theta = 0 and equal couplings, kept as a fast cross-check of the solver.
 
 The solver also takes a batch of points: one detector per point, one
 frequency per point, one coupling per point, or any mix of these with
@@ -37,7 +37,6 @@ class OutputCoefficients:
     c_coef: complex
     d_coef: complex
     e_coef: complex
-    d_e: complex
 
 
 def _back_substitute(a):
@@ -223,11 +222,9 @@ def solve_coefficients(params, omega, g_lin=None):
     b = 1j * ((sk * xad[1] - 1.0) * em - sk * xa[1] * ep)
     c = 1j * (sk * xad[2] * em - sk * xa[2] * ep)
     d = 1j * (sk * xad[3] * em - sk * xa[3] * ep)
-    de = 1j * (v ** 2 * x1 * x2 - 1.0) + abs(g1) ** 2 * (xc - xcd) * (
-        2.0 * v * x1 * x2 - x1 - x2)
     if n is not None:
-        a, b, c, d, de = (np.asarray(z) for z in (a, b, c, d, de))
-    return OutputCoefficients(a, b, c, d, c + d, de)
+        a, b, c, d = (np.asarray(z) for z in (a, b, c, d))
+    return OutputCoefficients(a, b, c, d, c + d)
 
 
 def closed_form_coefficients(params, omega, b_form="conjugate"):
@@ -260,4 +257,4 @@ def closed_form_coefficients(params, omega, b_form="conjugate"):
     gcpl = 1j * (k ** 0.5) * (g * xc + g.conjugate() * xcd) / de
     c = gcpl * (v * x1 * x2 - x1)
     d = gcpl * (v * x1 * x2 - x2)
-    return OutputCoefficients(a, b, c, d, c + d, de)
+    return OutputCoefficients(a, b, c, d, c + d)

@@ -235,7 +235,7 @@ class TestSpectrumSweep:
         assert str(batched.value) == str(scalar.value)
 
 
-COEFFICIENTS = ("a_coef", "b_coef", "c_coef", "d_coef", "e_coef", "d_e")
+COEFFICIENTS = ("a_coef", "b_coef", "c_coef", "d_coef", "e_coef")
 
 # input set 1 of the spectrum benchmark
 SET_1 = dict(delta_prime=1.01583, kappa=0.0978062, g_lin=0.0306254)
