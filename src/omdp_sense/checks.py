@@ -49,8 +49,10 @@ def rel(a, b):
 
 
 def s_add_in_g(p):
-    """The solver's s_add of p as a function of (g, omega)."""
-    return lambda g, w: spectra.s_add(replace(p, g_lin=g), w).s_add
+    """The solver's s_add of p as a function of (g, omega), the coupling
+    handed to the solver."""
+    return lambda g, w: spectra._noise(
+        p, coefficients.solve_coefficients(p, w, g))[0]
 
 
 def _gated(errs, sets, gate, measure="rel_err"):

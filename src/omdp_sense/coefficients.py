@@ -23,7 +23,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ParameterError, SingularSystemError
-from .exact import Exact, _raw
+from .exact import Exact, _raw, quotients, to_complex, where
 from .model import (_REAL_FIELDS, _real_fields, chi_cavity, chi_cavity_conj,
                     chi_mech)
 
@@ -41,7 +41,8 @@ class OutputCoefficients:
 
 def _back_substitute(a):
     # solve the eliminated upper-triangular rows of a for all four
-    # right-hand-side columns, s0..s3; entries are numbers or Exact arrays
+    # right-hand-side columns, s0..s3; entries are numbers or Exact arrays,
+    # and an Exact pivot divides its four sums with one divisor set-up
     out = [None] * 4
     for i in range(3, -1, -1):
         row = a[i]
@@ -50,7 +51,8 @@ def _back_substitute(a):
             f, (y0, y1, y2, y3) = row[c], out[c]
             s0, s1, s2, s3 = s0 - f * y0, s1 - f * y1, s2 - f * y2, s3 - f * y3
         d = row[i]
-        out[i] = [s0 / d, s1 / d, s2 / d, s3 / d]
+        out[i] = (quotients((s0, s1, s2, s3), d) if isinstance(d, Exact)
+                  else [s0 / d, s1 / d, s2 / d, s3 / d])
     return out
 
 
@@ -67,11 +69,15 @@ def _pick(cond, x, y):
 
 
 def _where(cond, x, y):
-    # x and y are numbers, arrays or sequences of them; Exact stays Exact
+    # x and y are numbers, arrays or sequences of them; a complex number
+    # or an Exact value on either side gives an Exact value
     if isinstance(y, (list, tuple)):
         return [_where(cond, u, v) for u, v in zip(x, y)]
-    z = np.where(cond, _raw(x), _raw(y))
-    return Exact(z) if isinstance(y, Exact) else z
+    if x is y:
+        return x
+    if isinstance(x, (Exact, complex)) or isinstance(y, (Exact, complex)):
+        return where(cond, x, y)
+    return np.where(cond, x, y)
 
 
 def _solve4(m, rhs):
@@ -91,7 +97,8 @@ def _solve4(m, rhs):
             a[col], a[r] = _pick(p == r, (a[r], a[col]), (a[col], a[r]))
         if not a[col][col]:  # a zero pivot, at some point of a batch
             k = int(np.argmax(np.ravel(piv) == 0.0))  # the first such point
-            seen = [np.ravel(pv)[k] for pv in pivots]
+            # a pivot that is one number holds at every point
+            seen = [np.ravel(pv)[min(k, np.size(pv) - 1)] for pv in pivots]
             cond = float(max(seen) / min(seen)) if seen else float("inf")
             raise SingularSystemError(
                 "response system is singular at this frequency", cond)
@@ -122,10 +129,6 @@ def _batch_size(params, omega, g_lin):
                 "couplings must be finite, a number or a 1-D array")
         if g.ndim:
             sizes.add(len(g))
-        elif not sizes:
-            raise ParameterError(
-                "a coupling apart from the detector needs a batch; for one "
-                "point set it on the detector")
     if len(sizes) > 1:
         raise ParameterError("a batch's per-point inputs differ in length: %s"
                              % sorted(sizes))
@@ -177,28 +180,28 @@ def solve_coefficients(params, omega, g_lin=None):
     differ.
     """
     n = _batch_size(params, omega, g_lin)
+    # every entry of m is complex, as a pivot divides as a complex number;
+    # in a batch, an entry that is the same at every point stays a number
     if n is None:
         # a numpy scalar would round the complex arithmetic differently
         w = float(omega)
-        g1 = complex(params.g_lin)
+        g1 = complex(params.g_lin if g_lin is None else g_lin)
+        vc = complex(params.v_coupling)
     else:
         params = _fields(params)
         w = (Exact(omega.astype(float)) if isinstance(omega, np.ndarray)
              else float(omega))
-        if g_lin is not None:
+        if g_lin is None:
+            g1 = to_complex(params.g_lin)
+        else:
             g1 = np.asarray(g_lin)
             g1 = Exact(g1.astype(complex)) if g1.ndim else complex(g1)
-        else:
-            g1 = params.g_lin
-            g1 = g1 if isinstance(g1, Exact) else complex(g1)
+        vc = to_complex(params.v_coupling)
     xc = chi_cavity(w, params.delta_prime, params.kappa)
     xcd = chi_cavity_conj(w, params.delta_prime, params.kappa)
     x1 = chi_mech(w, params.omega_m1, params.gamma1)
     x2 = chi_mech(w, params.omega_m2, params.gamma2)
     g2 = g1  # single drive, shared coupling
-    v = params.v_coupling
-    # a batch takes every entry as a complex array, as complex() would
-    vc = complex(v) if n is None else v
     m = (
         (1.0 / xc, 0j, -1j * g1, -1j * g2),
         (0j, 1.0 / xcd, 1j * g1.conjugate(), 1j * g2.conjugate()),
@@ -212,9 +215,6 @@ def solve_coefficients(params, omega, g_lin=None):
         (0j, 0j, 1.0 + 0j, 0j),
         (0j, 0j, 0j, 1.0 + 0j),
     )
-    if n is not None:  # every entry an array over the points
-        m, rhs = ([[Exact(np.broadcast_to(np.asarray(x, dtype=complex), (n,)))
-                    for x in row] for row in rows] for rows in (m, rhs))
     xa, xad = _solve4(m, rhs)[:2]
     ep = cmath.exp(1j * params.theta)
     em = ep.conjugate()

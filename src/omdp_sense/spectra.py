@@ -8,12 +8,13 @@ import numpy as np
 from .coefficients import _fields, solve_coefficients
 from .errors import (ParameterError, SingularSystemError,
                      TransductionAbsentError)
-from .exact import Exact
+from .exact import Exact, quotients
 from .model import chi_mech
 
 # frequencies per batched solve in spectrum_sweep: large enough to amortize
-# the per-call overhead; a full block's temporaries take about 7 MB, peak
-# resident memory over resident memory after one sweep
+# the per-call overhead (per point, 16384 is no faster and 4096 is 15%
+# slower); a one-block sweep peaks about 8 MB above its start under
+# tracemalloc
 SOLVE_BLOCK = 8192
 
 # points per block of _in_blocks and of validate's batched checks: a
@@ -59,11 +60,14 @@ def _noise(params, co):
     """
     a, b, c, d, e = co.a_coef, co.b_coef, co.c_coef, co.d_coef, co.e_coef
     if isinstance(e, np.ndarray):
-        a, b, c, d, e = (Exact(z) for z in (a, b, c, d, e))
+        e = Exact(e)
     if not e:
         raise TransductionAbsentError("output transduction vanished")
-    sth = _thermal(_fields(params), c / e, d / e)
-    quantum = 0.5 * (abs(a / e) ** 2 + abs(b / e) ** 2)
+    # arrays share E's divisor set-up; one point keeps CPython's own /
+    ra, rb, rc, rd = (quotients((a, b, c, d), e) if isinstance(e, Exact)
+                      else (a / e, b / e, c / e, d / e))
+    sth = _thermal(_fields(params), rc, rd)
+    quantum = 0.5 * (abs(ra) ** 2 + abs(rb) ** 2)
     return quantum + sth, sth
 
 

@@ -128,8 +128,8 @@ def minimize_over_g_numeric(params, omega, g_range):
 
     The log grid over g_range (optimize.PER_DECADE points a decade) is
     solved as one batch, equal bit for bit to s_add point by point; the
-    polish calls s_add. The result is flagged when the scan minimum sits on
-    the range boundary.
+    polish solves one point at a time, the coupling handed to the solver.
+    The result is flagged when the scan minimum sits on the range boundary.
 
     ``params`` may also be a sequence of detectors, with ``omega`` and
     ``g_range`` sequences of the same length, one set each: the scans of
@@ -155,7 +155,7 @@ def minimize_over_g_numeric(params, omega, g_range):
     out = []
     for (p, w, _), xs, ys in zip(sets, grids, scans):
         def at(g, p=p, w=w):
-            return s_add(replace(p, g_lin=g), w).s_add
+            return _noise(p, solve_coefficients(p, w, g))[0]
 
         ys = _redo(at, xs, ys)
         x, fx, at_boundary = optimize.scan_then_golden(at, xs, ys)

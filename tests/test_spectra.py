@@ -1,5 +1,6 @@
 import cmath
 import math
+import operator
 from dataclasses import replace
 from functools import partial
 
@@ -12,9 +13,10 @@ from omdp_sense import (DetectorParams, OmdpError, ParameterError,
                         frequency_grid, omega_eff,
                         s_add, s_add_resonant, s_add_som, solve_coefficients,
                         spectrum_sweep)
+from omdp_sense import coefficients
 from omdp_sense.checks import random_params, random_t0, reference_params
 from omdp_sense.coefficients import _solve4
-from omdp_sense.exact import Exact
+from omdp_sense.exact import Exact, quotients
 from omdp_sense.optimize import log_grid
 from omdp_sense.spectra import (POINT_BLOCK, SOLVE_BLOCK, _in_blocks,
                                 _noise, _redo)
@@ -130,6 +132,46 @@ def same_bits(x, y):
             or (math.isnan(x) and math.isnan(y)))
 
 
+def same_bits_c(x, y):
+    x, y = complex(x), complex(y)
+    return same_bits(x.real, y.real) and same_bits(x.imag, y.imag)
+
+
+# signed zeros, subnormals, overflowing products and inf or NaN parts; every
+# pair of them as a complex number holds the ties |re| = |im|
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 0.5,
+         -1.0, 3.0, 1e308, -1e308, math.inf, -math.inf, math.nan)
+EDGE_PAIRS = [complex(a, b) for a in EDGES for b in EDGES]
+
+ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def as_cpython(f, *args):
+    """f(*args) on Python numbers; where CPython raises, the value an
+    array gives instead: NaN parts for a division by zero, inf for an
+    overflowing modulus or square (None: compare only that a part is inf)."""
+    try:
+        return f(*args)
+    except ZeroDivisionError:
+        return complex(math.nan, math.nan)
+    except OverflowError:
+        return None
+
+
+def assert_as_cpython(f, args, got):
+    """Each value of the array ``got`` has the bits of f on the Python
+    numbers at that point; ``args`` holds one list of numbers per operand."""
+    got = np.asarray(got).ravel().tolist()
+    assert all(len(xs) == len(got) for xs in args)
+    for xs, w in zip(zip(*args), got):
+        want = as_cpython(f, *xs)
+        if want is None:
+            w = complex(w)
+            assert math.isinf(w.real) or math.isinf(w.imag), (xs, w)
+        else:
+            assert same_bits_c(w, want), (xs, w, want)
+
+
 class TestExactComplexSquare:
     """Exact(z) ** 2 rounds as CPython's z ** 2, (1+0j) * (z*z)."""
 
@@ -157,21 +199,35 @@ class TestExactComplexSquare:
                  math.inf, -math.inf, math.nan)
         self.assert_as_cpython([complex(a, b) for a in edges for b in edges])
 
+    def test_unary_operators_on_every_kind_of_value(self):
+        # a complex array, one whose imaginary plane is one number (a float
+        # array plus a complex number), and a float array
+        zs = np.array(EDGE_PAIRS)
+        values = [(Exact(zs), EDGE_PAIRS),
+                  (Exact(np.array(EDGES)) + 1j, [x + 1j for x in EDGES]),
+                  (Exact(np.array(EDGES)), list(EDGES))]
+        assert isinstance(values[1][0].im, float)
+        for e, xs in values:
+            with np.errstate(all="ignore"):
+                for f in (operator.neg, abs, lambda z: z.conjugate(),
+                          lambda z: z.real, lambda z: z ** 2):
+                    assert_as_cpython(f, [xs], f(e))
+        # float ** 0.5 is libm pow; a negative base, which CPython makes
+        # complex, aside
+        xs = [x for x in EDGES if not x < 0.0 or math.isinf(x)]
+        with np.errstate(all="ignore"):
+            assert_as_cpython(lambda x: x ** 0.5, [xs],
+                              Exact(np.array(xs)) ** 0.5)
+
 
 class TestExactProductAndQuotient:
     """Exact's complex * and / round as CPython's, part by part."""
 
     def test_adversarial_pairs(self):
-        edges = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                 1e-310, 0.5, -1.0, 3.0, 1e308, -1e308, math.inf,
-                 -math.inf, math.nan)
         rng = np.random.default_rng(12)
         parts = rng.normal(size=(2, 90)) * 10.0 ** rng.integers(
             -300, 300, size=(2, 90))
-        # every pair of edges holds the ties |re| = |im|, signed zeros,
-        # subnormals, overflowing products and inf or NaN parts
-        zs = ([complex(a, b) for a in edges for b in edges]
-              + [complex(a, b) for a, b in parts.T])
+        zs = EDGE_PAIRS + [complex(a, b) for a, b in parts.T]
         a, b = (np.array(x, dtype=complex) for x in np.meshgrid(zs, zs))
         assert a.size > 80000
         with np.errstate(all="ignore"):
@@ -189,6 +245,50 @@ class TestExactProductAndQuotient:
             want = x / y
             assert same_bits(q.real, want.real), (x, y, q, want)
             assert same_bits(q.imag, want.imag), (x, y, q, want)
+
+    def test_mixed_operand_kinds(self):
+        # a real operand takes the imaginary part 0.0 in CPython's complex
+        # arithmetic, whatever its kind and on either side
+        zs, xs = np.array(EDGE_PAIRS), np.array(EDGES)
+        a, b = (x.ravel() for x in np.meshgrid(zs, xs))
+        za, xb = a.tolist(), b.tolist()
+        # Python complex numbers become planes that are one number each
+        few = (0.0, -0.0, 5e-324, -1.0, 1e308, -math.inf, math.nan)
+        numbers = list(EDGES) + [complex(u, v) for u in few for v in few]
+        with np.errstate(all="ignore"):
+            for op in ARITHMETIC:
+                for other in (Exact(b), b):  # a float Exact or array
+                    assert_as_cpython(op, [za, xb], op(Exact(a), other))
+                    assert_as_cpython(op, [xb, za], op(other, Exact(a)))
+                for x in numbers:
+                    for e, vals in ((Exact(zs), EDGE_PAIRS),
+                                    (Exact(xs), list(EDGES))):
+                        if isinstance(x, float) and e.im is None:
+                            continue  # real arithmetic, numpy's own
+                        n = [x] * len(vals)
+                        assert_as_cpython(op, [vals, n], op(e, x))
+                        assert_as_cpython(op, [n, vals], op(x, e))
+
+    def test_shared_divisor_quotients(self):
+        # one divisor set-up serves several quotients, with either branch
+        # of _Py_c_quot at different points of one array
+        rng = np.random.default_rng(3)
+        d = np.array(EDGE_PAIRS + list(rng.normal(size=64)
+                                       + 1j * rng.normal(size=64)))
+        by_real = np.abs(d.real) >= np.abs(d.imag)
+        assert by_real.any() and not by_real.all()
+        n = len(d)
+        nums = [Exact(np.roll(d, 7)), Exact(rng.normal(size=n)), 1.5,
+                2.0 - 1j, np.roll(d, 3), rng.normal(size=n)]
+        with np.errstate(all="ignore"):
+            for x, q in zip(nums, quotients(nums, Exact(d))):
+                alone = np.asarray(x / Exact(d)).tolist()
+                assert all(map(same_bits_c, np.asarray(q).tolist(), alone))
+            # a real divisor of a real numerator divides as floats
+            x, real = nums[1], Exact(rng.normal(size=n))
+            (q,) = quotients([x], real)
+            assert q.im is None
+            assert np.array_equal(np.asarray(q), np.asarray(x / real))
 
 
 class TestSpectrumSweep:
@@ -293,6 +393,42 @@ class TestArrayRouteBitIdentity:
         grid = np.linspace(0.9, 1.2, 2 * SOLVE_BLOCK + 1)
         self.assert_identical(params(**SET_1), grid)
 
+    def test_broadcast_entries_solve_alike(self, monkeypatch):
+        # a batch keeps an entry that is the same at every point (0j,
+        # 1+0j, sqrt(kappa) of one detector, the chi of one frequency) as
+        # a number; every entry broadcast to an array over the points, as
+        # TestArrayRouteErrors builds its system, solves to the same bits
+        systems, solve = [], coefficients._solve4
+
+        def recording(m, rhs):
+            systems.append((m, rhs))
+            return solve(m, rhs)
+        monkeypatch.setattr(coefficients, "_solve4", recording)
+        rng = np.random.default_rng(11)
+        n = 64
+        for _ in range(10):
+            p = random_general(rng)
+            ws = np.sort(rng.uniform(0.1, 2.5, n))
+            gs = rng.uniform(1e-3, 0.3, n) * np.exp(1j * rng.uniform(0, 3, n))
+            solve_coefficients(p, ws)
+            solve_coefficients(p, float(ws[0]), g_lin=gs)
+            solve_coefficients([replace(random_general(rng), theta=p.theta)
+                                for _ in range(n)], ws)
+        kept = 0
+        for m, rhs in systems:
+            kept += sum(not isinstance(x, Exact)
+                        for rows in (m, rhs) for row in rows for x in row)
+            full = ([[Exact(np.broadcast_to(np.asarray(x, dtype=complex),
+                                            (n,))) for x in row]
+                     for row in rows] for rows in (m, rhs))
+            with np.errstate(all="ignore"):
+                got, want = solve(m, rhs), solve(*full)
+            for row, ref in zip(got, want):
+                for x, y in zip(row, ref):
+                    assert all(map(same_bits_c, np.broadcast_to(
+                        np.asarray(x), (n,)).tolist(), np.asarray(y).tolist()))
+        assert kept >= 10 * len(systems)
+
 
 class TestArrayRouteErrors:
     def singular(self, top_left):
@@ -310,13 +446,19 @@ class TestArrayRouteErrors:
         # a different pivot history
         m, rhs = self.singular(np.array([3.0, 5.0, 2.0 + 0j]))
         m = m[:2] + ((0j, 0j, np.array([0j, 0j, 1.0 + 0j]), 1.0 + 0j), m[3])
-        # every entry broadcast to an array, as solve_coefficients makes them
-        m, rhs = ([[Exact(np.broadcast_to(np.asarray(x, dtype=complex), (3,)))
-                    for x in row] for row in rows] for rows in (m, rhs))
-        with pytest.raises(SingularSystemError) as batched:
-            _solve4(m, rhs)
-        assert str(batched.value) == str(scalar.value)
-        assert batched.value.condition == scalar.value.condition == 3.0
+        # every entry broadcast to an array
+        full = [[[Exact(np.broadcast_to(np.asarray(x, dtype=complex), (3,)))
+                  for x in row] for row in rows] for rows in (m, rhs)]
+        # entries the same at every point kept as numbers, as
+        # solve_coefficients keeps them: the pivots of columns 0 and 1 are
+        # numbers, and the second and third points are singular
+        m, rhs = self.singular(3.0 + 0j)
+        m = m[:2] + ((0j, 0j, Exact(np.array([1.0, 0j, 0j])), 1.0 + 0j), m[3])
+        for system in (full, (m, rhs)):
+            with pytest.raises(SingularSystemError) as batched:
+                _solve4(*system)
+            assert str(batched.value) == str(scalar.value)
+            assert batched.value.condition == scalar.value.condition == 3.0
 
 
 class TestCouplingArrayRoute:
@@ -372,8 +514,25 @@ class TestCouplingArrayRoute:
         with pytest.raises(TransductionAbsentError):
             s_add(pz, 1.05)
 
+    def test_one_coupling_at_one_point(self):
+        # the polish's route: the detector's coupling replaced in the solve
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            p, w = random_general(rng), rng.uniform(0.1, 2.5)
+            for g in (rng.uniform(1e-3, 0.3), complex(rng.uniform(1e-3, 0.3),
+                                                      rng.uniform(-0.1, 0.1))):
+                pg = replace(p, g_lin=g)
+                co = solve_coefficients(p, w, g_lin=g)
+                one = solve_coefficients(pg, w)
+                for name in COEFFICIENTS:
+                    assert same_bits_c(getattr(co, name),
+                                       getattr(one, name)), (name, g)
+                assert _noise(p, co) == _noise(pg, one)
+        with pytest.raises(TransductionAbsentError):
+            _noise(p, solve_coefficients(p, 1.05, g_lin=0.0))
+
     def test_rejects_bad_couplings(self):
-        for bad in (np.array([0.03, np.nan]), np.array([[0.03]]), 0.03):
+        for bad in (np.array([0.03, np.nan]), np.array([[0.03]]), math.inf):
             with pytest.raises(ParameterError):
                 solve_coefficients(params(), 1.05, g_lin=bad)
         # per-point frequencies and couplings must agree in number

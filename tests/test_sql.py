@@ -275,13 +275,15 @@ class TestNumericMinimizer:
                 np.errstate(all="ignore"):
             minimize_over_g_numeric(p1, 1.0, r0)
         grid0 = set(log_grid(*r0).tolist())
-        scalar = sql.s_add
+        solve = sql.solve_coefficients
 
-        def polish_fails(p, w):
-            if p.delta_prime == 1.0 and p.g_lin not in grid0:
+        def polish_fails(p, w, g_lin=None):
+            # the polish solves one point, its coupling off the scan grid
+            if (not isinstance(p, list) and p.delta_prime == 1.0
+                    and g_lin not in grid0):
                 raise PolishError
-            return scalar(p, w)
-        monkeypatch.setattr(sql, "s_add", polish_fails)
+            return solve(p, w, g_lin)
+        monkeypatch.setattr(sql, "solve_coefficients", polish_fails)
         with pytest.raises(PolishError), np.errstate(all="ignore"):
             minimize_over_g_numeric([p0, p1], [1.0, 1.0], [r0, r0])
 
