@@ -8,6 +8,7 @@ frequency unless units = si.
 """
 
 import argparse
+import collections
 import csv
 import hashlib
 import io
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__, checks
 from .errors import OmdpError, ParameterError, UsageError
-from .exact import Exact
+from .exact import Exact, g17
 from .model import DetectorParams, frequency_grid, omega_eff
 from .spectra import s_add_som, spectrum_sweep
 from .sql import r_map, s_min_sweep
@@ -225,127 +226,80 @@ def _json_default(obj):
     return list(obj)
 
 
-# rows per write of a CSV table
-CSV_CHUNK = 4096
+# rows per block of a CSV table, assembled in memory and written at once
+CSV_CHUNK = 2048
 
 
-class _Quoted(dict):
-    """Text cells as csv.writer writes them, each distinct text quoted once,
-    by csv itself. Empty text is an empty cell, except alone in its row,
-    where csv.writer writes a pair of quotes."""
-
-    def __init__(self, lone):
-        super().__init__()
-        self.lone = lone  # the table has one column
-
-    def __missing__(self, text):
-        if text or self.lone:
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerow([text])
-            self[text] = buf.getvalue()[:-1]
-        else:
-            self[text] = text
-        return self[text]
-
-
-def _g17(values):
-    """A float array's values as %.17g text."""
-    return list(map("%.17g".__mod__, values.tolist()))
-
-
-def _number_cells(nums):
-    """A function of (lo, hi, out) that puts nums[lo:hi] in the object
-    array out and returns a mask of the cells left to format.
-
-    Values are told apart by bit pattern, so -0.0 and 0.0 stay apart. A
-    value that recurs is formatted once, as %.17g text that out takes; a
-    value that occurs once goes in as a float, for its block's template to
-    format. Only a cell that a caller empties may hold a NaN or inf.
-    """
-    bits = nums.view(np.uint64)
-    # a recurring value is the last of a run of equal neighbours once sorted
-    run = np.sort(bits)
-    last = run[1:] == run[:-1]
-    last[:-1] &= run[2:] != run[1:-1]
-    # the recurring values in order, then all ones, a NaN's bit pattern:
-    # every search lands on a key, and no finite value matches the last
-    keys = np.append(run[1:][last], np.uint64(2 ** 64 - 1))
-    kept = np.array(_g17(keys[:-1].view(float)) + [None], dtype=object)
-
-    def cells(lo, hi, out):
-        at = np.searchsorted(keys, bits[lo:hi])
-        once = keys[at] != bits[lo:hi]
-        out[:] = kept[at]
-        out[once] = nums[lo:hi][once]
-        return once
-    return cells
-
-
-def _column_cells(column, quoted):
-    """A function of (lo, hi, out) that puts a column's cells lo:hi in the
-    object array out and returns a mask of the numbers left to format.
-
-    A column is text (every cell a str, quoted as quoted gives it), numbers
-    (a numeric array or a sequence of numbers, through _number_cells) or a
-    masked numeric array, whose masked cells are empty whatever they hold.
-    A NaN or inf in a cell not empty raises ValueError, and a column that
-    mixes text and numbers TypeError.
-    """
-    empty = False
+def _column(column, lone):
+    """A column of text (every cell a str), numbers (a numeric array or a
+    sequence of numbers) or a masked numeric array (masked cells are empty,
+    whatever they hold), as ("numbers", floats, empty mask) or ("text", an
+    index per cell into its distinct texts, those quoted, their lengths).
+    NaN or inf in a cell not empty raises ValueError, mixed kinds TypeError."""
+    empty = np.broadcast_to(False, len(column))
     if isinstance(column, np.ma.MaskedArray):
         # the data as it stands, not a filled copy
         empty, column = np.ma.getmaskarray(column), column.data
     elif not (isinstance(column, np.ndarray) and column.dtype.kind in "biuf"):
         if all(map(isinstance, column, repeat(str))):
-            def texts(lo, hi, out):
-                out[:] = list(map(quoted.__getitem__, column[lo:hi]))
-                return np.zeros(len(out), dtype=bool)
-            return texts
+            index = collections.defaultdict(lambda: len(index))
+            codes = np.fromiter(map(index.__getitem__, column), np.int32,
+                                len(column))
+            quoted = [b""] * (not index)
+            for text in index:  # quoted once, by csv itself; empty text
+                buf = io.StringIO()  # alone in its row is a pair of quotes
+                csv.writer(buf, lineterminator="\n").writerow([text])
+                quoted.append(buf.getvalue()[:-1].encode("utf-8")
+                              if text or lone else b"")
+            return "text", codes, np.array(quoted), np.array(
+                list(map(len, quoted)))
         if any(map(isinstance, column, repeat(str))):
             raise TypeError("a table column mixes text and numbers")
     nums = np.asarray(column, dtype=float)
     if not (np.isfinite(nums) | empty).all():
         raise ValueError("NaN or inf cell")
-    numbers = _number_cells(nums)
-    if empty is False:
-        return numbers
-
-    def cells(lo, hi, out):
-        once = numbers(lo, hi, out)
-        at = np.flatnonzero(empty[lo:hi])
-        once[at] = False
-        out[at] = quoted[""]  # a masked cell is empty text
-        return once
-    return cells
+    return "numbers", nums, empty
 
 
 def _write_csv(fh, header, columns):
-    """Write the header, then the columns as rows, CSV_CHUNK rows at a time,
-    with the bytes of csv.writer and %.17g numbers, which round-trip every
-    float and print integers whole.
+    """Write the header, then the columns as rows, with the bytes of
+    csv.writer and %.17g numbers, which round-trip every float and print
+    integers whole.
 
-    A block is written by one %-format. Its template joins one row template
-    per row: a %.17g slot for each number left to format, a %s slot for
-    each cell already text. A row template is made when its pattern of
-    slots is first seen.
+    A block of CSV_CHUNK rows is built as bytes, its numbers from one
+    exact.g17 call. Row after row, each cell is copied as a fixed-width item
+    to where its text starts, the next item overwriting the padding; then
+    come the separators, and one write.
     """
     csv.writer(fh, lineterminator="\n").writerow(header)
-    quoted = _Quoted(len(columns) == 1)
-    cells = [_column_cells(c, quoted) for c in columns]
-    templates, n = {}, len(columns[0])  # a row template per slot pattern
-    for lo in range(0, n, CSV_CHUNK):
-        hi = min(lo + CSV_CHUNK, n)
-        values = np.empty((hi - lo, len(cells)), dtype=object)
-        once = np.column_stack([f(lo, hi, values[:, j])
-                                for j, f in enumerate(cells)])
-        # one hashable key per row: its slot pattern, packed into bytes
-        packed = np.packbits(once, axis=1)
-        keys = packed.view("S%d" % packed.shape[1]).ravel().tolist()
-        for key in set(keys).difference(templates):
-            slots = np.where(once[keys.index(key)], "%.17g", "%s")
-            templates[key] = ",".join(slots.tolist()) + "\n"
-        fh.write("".join(map(templates.__getitem__, keys))
-                 % tuple(values.ravel().tolist()))
+    cols = [_column(c, len(columns) == 1) for c in columns]
+    num = [j for j, c in enumerate(cols) if c[0] == "numbers"]
+    width = max([24] + [c[2].itemsize for c in cols if c[0] == "text"])
+    seps = np.array([b","] * (len(cols) - 1) + [b"\n"]).view(np.uint8)
+    for lo in range(0, len(columns[0]), CSV_CHUNK):
+        rows = min(CSV_CHUNK, len(columns[0]) - lo)
+        cells = np.empty((rows, len(cols)), dtype="S%d" % width)
+        sizes = np.empty(cells.shape, dtype=np.intp)
+        if num:
+            values, empty = (np.stack([cols[j][k][lo:lo + rows] for j in num],
+                                      axis=1) for k in (1, 2))
+            full = not empty.any()
+            numbers = g17(values) if full else np.zeros(values.shape, "S24")
+            if not full:  # an empty cell is not formatted
+                numbers[~empty] = g17(values[~empty])
+                numbers[empty] = b'""' if len(cols) == 1 else b""
+            cells[:, num], sizes[:, num] = numbers, np.char.str_len(numbers)
+        for j, c in enumerate(cols):
+            if c[0] == "text":
+                at = c[1][lo:lo + rows]
+                cells[:, j], sizes[:, j] = np.take(c[2], at), np.take(c[3], at)
+        ends = np.cumsum(sizes + 1)
+        out = np.empty(ends[-1] + width, dtype=np.uint8)
+        items = np.ndarray(ends[-1] + 1, dtype="V%d" % width, buffer=out,
+                           strides=(1,))
+        items[ends - 1 - sizes.ravel()] = cells.view("V%d" % width).ravel()
+        out[ends - 1] = np.tile(seps, rows)
+        fh.write(str(out[:ends[-1]], "utf-8"))
 
 
 def _fill(path, write):

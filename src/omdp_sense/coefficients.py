@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import ParameterError, SingularSystemError
 from .exact import Exact, _raw, quotients, to_complex, where
-from .model import (_REAL_FIELDS, _real_fields, chi_cavity, chi_cavity_conj,
-                    chi_mech)
+from .model import (_REAL_FIELDS, _chi_mechs, _real_fields, chi_cavity,
+                    chi_cavity_conj, chi_mech)
 
 
 @dataclass(frozen=True)
@@ -122,13 +122,17 @@ def _batch_size(params, omega, g_lin):
         if omega.ndim != 1:
             raise ParameterError("frequencies must be a number or a 1-D array")
         sizes.add(len(omega))
-    if g_lin is not None:
+    finite = True
+    if isinstance(g_lin, (int, float, complex)):
+        finite = cmath.isfinite(g_lin)  # one point, without numpy's overhead
+    elif g_lin is not None:
         g = np.asarray(g_lin)
-        if g.ndim > 1 or not np.isfinite(g).all():
-            raise ParameterError(
-                "couplings must be finite, a number or a 1-D array")
-        if g.ndim:
+        finite = g.ndim < 2 and np.isfinite(g).all()
+        if g.ndim == 1:
             sizes.add(len(g))
+    if not finite:
+        raise ParameterError(
+            "couplings must be finite, a number or a 1-D array")
     if len(sizes) > 1:
         raise ParameterError("a batch's per-point inputs differ in length: %s"
                              % sorted(sizes))
@@ -199,8 +203,7 @@ def solve_coefficients(params, omega, g_lin=None):
         vc = to_complex(params.v_coupling)
     xc = chi_cavity(w, params.delta_prime, params.kappa)
     xcd = chi_cavity_conj(w, params.delta_prime, params.kappa)
-    x1 = chi_mech(w, params.omega_m1, params.gamma1)
-    x2 = chi_mech(w, params.omega_m2, params.gamma2)
+    x1, x2 = _chi_mechs(w, params)
     g2 = g1  # single drive, shared coupling
     m = (
         (1.0 / xc, 0j, -1j * g1, -1j * g2),

@@ -27,6 +27,9 @@ route keeps running on plain Python numbers at no extra cost. A real
 operand of a complex operation takes the imaginary part 0.0, as numpy's
 and CPython's promotions give it, so signed zeros, inf and NaN come out as
 theirs.
+
+``g17`` gives CPython's text too: the ``%.17g`` form of every float in an
+array, byte for byte, by integer arithmetic on the array.
 """
 
 import numpy as np
@@ -225,3 +228,95 @@ class Exact:
         # differs from z*z in the sign of a zero part and on inf; where
         # CPython raises OverflowError for an infinite part, the inf stays
         return _exact(*_mul(1.0, 0.0, *_mul(re, im, re, im)))
+
+
+# %.17g on arrays: texts of up to 24 bytes as three 64-bit words, byte 0
+# lowest; xi = X + 11 indexes the decimal exponents X = -11..15.
+_U, _X, _B = np.uint64, np.arange(-11, 16), np.arange(24)
+_POW5 = _U(5) ** (16 - _X).astype(_U)
+# 4-digit groups as ASCII words, and their digits up to the last nonzero
+# one (-20 for 0000); _SIG_AT: each group's first digit in D
+_D4 = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10).astype(np.uint8)
+_QUAD = (_D4 + 48).view("<u4").astype(_U).ravel()
+_SIG = np.where(_D4.any(1), 4 - np.argmax(_D4[:, ::-1] > 0, axis=1),
+                -20).astype(np.int8)
+_SIG_AT = np.array([[1], [9], [5], [13]])
+# by K * 27 + xi, K digits kept: those before the point (P; all 17 where
+# the prefix "0.0..." holds it), those after it, and the point and the
+# exponent (X < -4) between; by xi + 27 * sign: the prefix ("-", "0." and
+# zeros for -4 <= X < 0) and its length in bits
+_K, _P = np.arange(18)[:, None, None], np.where(
+    _X >= 0, _X + 1, np.where(_X >= -4, 17, 1))[:, None]
+_END = _K + (_K > _P)
+_LOW, _HIGH, _MARKS = np.moveaxis(np.stack(np.broadcast_arrays(
+    255 * (_B < np.minimum(_K, _P)), 255 * ((_B >= _P) & (_B < _K)),
+    46 * ((_B == _P) & (_K > _P)) + np.where(
+        (_X[:, None] < -4) & (_B >= _END) & (_B < _END + 4), np.array(
+            [b"e%+03d" % x for x in _X]).view(np.uint8).reshape(27, 4)[
+            np.arange(27)[:, None], np.clip(_B - _END, 0, 3)], 0))).astype(
+    np.uint8).view("<u8").astype(_U).reshape(3, -1, 3), -1, 1)
+_LEAD = np.where((_X < 0) & (_X >= -4), 1 - _X, 0) + np.arange(2)[:, None]
+_PREFIX = np.array([int.from_bytes((b"-" * s + b"0.000")[:n], "little")
+                    for s in (0, 1) for n in _LEAD[s]], dtype=_U)
+_LEAD = (8 * _LEAD.ravel()).astype(_U)
+
+
+def g17(values):
+    """The %.17g text of every float in values, as bytes ("S24") in their
+    shape, equal byte for byte to '%.17g' % x.
+
+    Where a log10 guess of the decimal exponent X is in -10..13, x = m 2**e
+    (m < 2**53) gives the 17 digits D = m 5**q 2**(e + q), q = 16 - X, by a
+    128-bit product in 32-bit halves shifted right by 1 to 62 bits, rounded
+    half to even on the remainder; X moves by one where the unrounded D is
+    outside [1e16, 1e17), and D = 1e17 carries. Other values go through %.
+    """
+    x = np.asarray(values, dtype=float)
+    flat = x.ravel()
+    ax = np.abs(flat)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        guess = np.floor(np.log10(ax))
+    fast = (guess >= -10) & (guess <= 13)
+    if not fast.all():
+        ax, guess = np.where(fast, ax, 1.0), np.where(fast, guess, 0.0)
+    bits = ax.view(_U)
+    m, e = (bits & (2 ** 52 - 1)) | 2 ** 52, (bits >> 52).astype(np.intp)
+    xi, off = guess.astype(np.intp) + 11, True
+    while np.any(off):
+        p = np.take(_POW5, xi, mode="clip")
+        mh, ml, ph, pl = m >> 32, m & 0xFFFFFFFF, p >> 32, p & 0xFFFFFFFF
+        mid, low = mh * pl + ml * ph, m * p
+        high = mh * ph + (mid >> 32) + (low < (mid << 32))
+        r = (1048 + xi - e).astype(_U)  # the shift, -(e + q)
+        d = (high << (64 - r)) | (low >> r)
+        off = (d >= 10 ** 17).astype(np.intp) - (d < 10 ** 16)
+        xi += off
+    rem, half = low & ((_U(1) << r) - 1), _U(1) << (r - 1)
+    d += (rem > half) | ((rem == half) & (d & 1 > 0))
+    del ax, guess, m, e, p, mh, ml, ph, pl, mid, low, high, r, off, rem, half
+    carry = np.flatnonzero(d == 10 ** 17)
+    d[carry], xi[carry] = 10 ** 16, xi[carry] + 1
+    # D as a digit and four groups of four, in the bytes 0..16
+    f, hi = d // 10 ** 16, d // 10 ** 8
+    e8 = np.stack([hi - f * 10 ** 8, d - hi * 10 ** 8])
+    e4 = e8 // 10 ** 4
+    g = np.concatenate([e4, e8 - e4 * 10 ** 4]).astype(np.intp)
+    q = np.take(_QUAD, g)
+    t = np.stack([(f + 48) | (q[0] << 8) | (q[2] << 40),
+                  (q[2] >> 24) | (q[1] << 8) | (q[3] << 40), q[3] >> 24])
+    # the digits kept, the point and exponent put in, then the prefix
+    kept = np.maximum((np.take(_SIG, g) + _SIG_AT).max(0),
+                      np.where(xi >= 11, xi - 10, 1))
+    at = kept * 27 + xi
+    low = t & np.take(_LOW, at, axis=1, mode="clip")
+    high = t & np.take(_HIGH, at, axis=1, mode="clip")
+    body = low | (high << 8) | np.take(_MARKS, at, axis=1, mode="clip")
+    body[1:] |= high[:-1] >> 56
+    lead = xi + 27 * (flat.view(_U) >> 63).astype(np.intp)
+    shift = np.take(_LEAD, lead, mode="clip")
+    text = body << shift
+    text[1:] |= body[:-1] >> (64 - shift)
+    text[0] |= np.take(_PREFIX, lead, mode="clip")
+    out = np.stack(text, axis=1).astype("<u8", copy=False).view("S24")[:, 0]
+    out[~fast] = ["%.17g" % v for v in flat[~fast].tolist()]
+    return out.reshape(x.shape)

@@ -109,6 +109,14 @@ def chi_mech(omega, omega_m, gamma):
     return 1.0 / (omega_m - omega ** 2 / omega_m - 1j * gamma * omega / omega_m)
 
 
+def _chi_mechs(omega, p):
+    """chi_mech of both oscillators, the first once where their omega_m and
+    gamma are equal numbers (Exact fields compare by identity)."""
+    x1 = chi_mech(omega, p.omega_m1, p.gamma1)
+    same = (p.omega_m2, p.gamma2) == (p.omega_m1, p.gamma1)
+    return x1, x1 if same else chi_mech(omega, p.omega_m2, p.gamma2)
+
+
 def thermal_occupation(omega_m, temperature):
     """Bose occupation 1/(exp(hbar*omega_m/(kB*T)) - 1); zero at T = 0."""
     if omega_m <= 0:

@@ -17,8 +17,8 @@ from . import optimize
 from .coefficients import _fields, solve_coefficients
 from .errors import ParameterError, StructureViolationError
 from .exact import Exact
-from .model import (chi_cavity, chi_cavity_conj, chi_mech, frequency_grid,
-                    omega_eff)
+from .model import (_chi_mechs, chi_cavity, chi_cavity_conj, chi_mech,
+                    frequency_grid, omega_eff)
 from .spectra import (_backaction_prefactor, _in_blocks, _noise, _redo,
                       _shot_prefactor, s_add)
 
@@ -190,8 +190,7 @@ def _shot_backaction(params, omega):
     params = _fields(params)
     xc = chi_cavity(omega, params.delta_prime, params.kappa)
     xcd = chi_cavity_conj(omega, params.delta_prime, params.kappa)
-    x1 = chi_mech(omega, params.omega_m1, params.gamma1)
-    x2 = chi_mech(omega, params.omega_m2, params.gamma2)
+    x1, x2 = _chi_mechs(omega, params)
     v = params.v_coupling
     k = params.kappa
     # np.sqrt rounds as math.sqrt does

@@ -472,8 +472,10 @@ class TestCsvEmission:
                 for k, (x, y) in enumerate(rng.normal(size=(n, 2)))]
         rows[:len(edge)] = [(x, np.float64(x), k, "som")
                             for k, x in enumerate(edge)]
-        # a chunk with text csv quotes, and empty text
-        texts = ("a,b", 'say "hi"', "a\nb", "cr\r", "", "word")
+        # a chunk with text csv quotes, empty text, text with a NUL, which
+        # csv.writer writes as is, and text longer than any number
+        texts = ("a,b", 'say "hi"', "a\nb", "cr\r", "", "word", "a\x00b",
+                 "é, long" * 5)
         rows += [(float(k), float(rng.normal()), k % 5, texts[k % len(texts)])
                  for k in range(n)]
         # a chunk whose number columns mix ints, floats and numpy floats
@@ -509,39 +511,23 @@ class TestCsvEmission:
             header, list(zip(*(c.tolist() if isinstance(c, np.ndarray)
                                else c for c in columns))))
 
-    def test_each_distinct_number_is_formatted_once(self, tmp_path,
-                                                    monkeypatch):
-        # a recurring value is formatted once, by _g17, up front; a value
-        # that occurs once is left as a float for one slot of its block's
-        # template
-        kept, left = [], []
-        g17, column_cells = cli._g17, cli._column_cells
+    def test_empty_cells_are_never_formatted(self, tmp_path, monkeypatch):
+        # a masked cell is empty whatever it holds, so its value never
+        # reaches the formatter, in blocks with and without empty cells
+        formatted, g17 = [], cli.g17
 
-        def counting(values):
-            kept.extend(values.tolist())
+        def recording(values):
+            formatted.extend(np.ravel(values).tolist())
             return g17(values)
-
-        def recording(column, quoted):
-            cells = column_cells(column, quoted)
-
-            def recorded(lo, hi, out):
-                once = cells(lo, hi, out)
-                left.append(out[once].tolist())
-                return once
-            return recorded
-        monkeypatch.setattr(cli, "_g17", counting)
-        monkeypatch.setattr(cli, "_column_cells", recording)
-        n = 3 * cli.CSV_CHUNK
-        # 7 values that recur across every chunk, -0.0 and 0.0 among them,
-        # and n values that occur once
-        recurring = np.array([0.5, -0.0, 0.0, 2.0, 1e-300, 3.0, 0.1] * n)[:n]
-        once = np.arange(n) + 0.5
-        self.emit(tmp_path, ("r", "o"), recurring, once)
-        assert sorted(map(float.hex, kept)) == sorted(
-            map(float.hex, recurring[:7].tolist()))
-        # per chunk, none of r's cells and each of o's
-        assert left == [x for c in np.split(once, 3) for x in ([], c.tolist())]
-        assert {type(x) for c in left for x in c} == {float}
+        monkeypatch.setattr(cli, "g17", recording)
+        n = 2 * cli.CSV_CHUNK + 5
+        ones = np.arange(n) + 0.5
+        data = np.where(np.arange(n) % 3 == 0, math.inf, 2.5)
+        data[cli.CSV_CHUNK:2 * cli.CSV_CHUNK] = 2.5  # a block of no empties
+        column = np.ma.masked_array(data, mask=np.isinf(data))
+        self.emit(tmp_path, ("ok", "a_p"), ones, column)
+        assert sorted(formatted) == sorted(
+            ones.tolist() + data[~np.isinf(data)].tolist())
 
     @pytest.mark.parametrize("column", [
         np.array([math.nan] + [0.5] * 5000),

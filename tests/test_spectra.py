@@ -16,7 +16,7 @@ from omdp_sense import (DetectorParams, OmdpError, ParameterError,
 from omdp_sense import coefficients
 from omdp_sense.checks import random_params, random_t0, reference_params
 from omdp_sense.coefficients import _solve4
-from omdp_sense.exact import Exact, quotients
+from omdp_sense.exact import Exact, g17, quotients
 from omdp_sense.optimize import log_grid
 from omdp_sense.spectra import (POINT_BLOCK, SOLVE_BLOCK, _in_blocks,
                                 _noise, _redo)
@@ -289,6 +289,58 @@ class TestExactProductAndQuotient:
             (q,) = quotients([x], real)
             assert q.im is None
             assert np.array_equal(np.asarray(q), np.asarray(x / real))
+
+
+def assert_g17(values):
+    """g17's text equals '%.17g' % x for every value, in the input's shape."""
+    values = np.asarray(values, dtype=float)
+    got = g17(values)
+    assert got.shape == values.shape
+    want = ["%.17g" % x for x in values.ravel().tolist()]
+    assert [s.decode() for s in got.ravel().tolist()] == want
+
+
+class TestG17:
+    """exact.g17 writes %.17g as CPython does, byte for byte."""
+
+    @settings(deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_any_floats(self, xs):
+        assert_g17(xs)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        # the fast range's edges lie among these, and so do the exponents
+        # where fixed notation turns into the exponent form
+        p = 10.0 ** np.arange(-12, 18)
+        near = np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, 1e300)])
+        assert_g17(np.concatenate([near, -near]))
+
+    def test_edges(self):
+        assert_g17([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                    2.225073858507201e-308, 1e308, -1e308,
+                    1.7976931348623157e308, math.inf, -math.inf, math.nan,
+                    0.1, 1.0, 123456.0, -1200.0])
+
+    def test_ties_at_the_18th_digit(self):
+        # an odd m over 2**j with m 5**j of 18 digits ends in 5 at its 18th
+        # significant digit, exactly: %.17g rounds it half to even
+        rng = np.random.default_rng(8)
+        ties = []
+        for j in range(1, 75):
+            lo, hi = -(-10 ** 17 // 5 ** j), min(10 ** 18 // 5 ** j, 2 ** 53)
+            if lo < hi:
+                ms = rng.integers(lo, hi, 400) | 1
+                ties += [int(m) / 2.0 ** j for m in ms[ms < hi]]
+        assert len(ties) > 5000
+        assert_g17(np.array([ties, np.negative(ties)]))
+
+    def test_wide_ranges(self):
+        rng = np.random.default_rng(9)
+        assert_g17(10.0 ** rng.uniform(-13, 18, 20000)
+                   * rng.choice([-1.0, 1.0], 20000))
+        bits = rng.integers(0, 2 ** 64, 20000, dtype=np.uint64)
+        assert_g17(bits.view(float))
+        assert_g17(rng.integers(-10 ** 15, 10 ** 15, 2000).astype(float))
 
 
 class TestSpectrumSweep:
