@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import coefficients, optimize, spectra, sql
+from . import coefficients, spectra, sql
 from .model import DetectorParams
 
 
@@ -61,12 +61,12 @@ def _gated(errs, sets, gate, measure="rel_err"):
     return {"worst_" + measure: worst, "sets": sets, "pass": worst < gate}
 
 
-def _blocks(rng, sets, draw, points=1):
+def _blocks(rng, sets, draw):
     """The sets of a check, drawn in validate's order by draw(rng), in
-    lists of at most POINT_BLOCK points at ``points`` points a set."""
-    size = max(1, spectra.POINT_BLOCK // points)
-    for lo in range(0, sets, size):
-        yield [draw(rng) for _ in range(min(size, sets - lo))]
+    lists of at most POINT_BLOCK sets. A set of many points, such as the
+    coupling optimum's g scan, is split again by spectra._in_blocks."""
+    for lo in range(0, sets, spectra.POINT_BLOCK):
+        yield [draw(rng) for _ in range(min(spectra.POINT_BLOCK, sets - lo))]
 
 
 def _solved(block):
@@ -134,8 +134,7 @@ def coupling_optimum(rng, sets):
     the g range; it belongs in a sidecar manifest, not in the report.
     """
     fits, errs, at_boundary = [], [], 0
-    scan = len(optimize.log_grid(*sql.DEFAULT_G_RANGE_FACTORS))  # a set's g
-    for block in _blocks(rng, sets, random_t0, scan):
+    for block in _blocks(rng, sets, random_t0):
         ps, ws = zip(*block)
         numeric = sql.minimize_over_g_numeric(
             ps, ws, [sql.default_g_range(p) for p in ps])

@@ -315,7 +315,8 @@ def _fill(path, write):
 
 
 class Emitter:
-    """Writes one run's data files plus their manifests."""
+    """Writes one run's data files plus their manifests; the run's notes,
+    ``sidecar``, go into the sidecar manifests only, never a data file."""
 
     def __init__(self, config, config_path=None):
         self.config = config
@@ -323,12 +324,11 @@ class Emitter:
         os.makedirs(self.out_dir, exist_ok=True)
         self.fmt = config.fmt
         self.config_digest = _digest(config_path) if config_path else None
-        self.extra = {}
-        self.sidecar = {}  # sidecars only, so data files keep their bytes
+        self.sidecar = {}
         self.files = []
 
     def _manifest(self, filename, digest):
-        man = {
+        return {
             "tool": "omdp-sense",
             "version": __version__,
             "subcommand": self.config.subcommand,
@@ -336,8 +336,6 @@ class Emitter:
             "output": filename,
             "sha256": digest,
         }
-        man.update(self.extra)
-        return man
 
     def _write_manifest(self, data_path, filename):
         # provenance lives only in the sidecar so data files stay
@@ -506,9 +504,9 @@ def cmd_sweep(config, emitter):
     nth = 0.0 if mode == "sql" else t["nth"]
     template = _detector(t, t["v"], nth)
     res = s_min_sweep(template, name, values, mode=mode, grid=t["grid"])
-    emitter.extra["swept_parameter"] = name
-    emitter.extra["skipped"] = [list(s) for s in res.skipped]
-    emitter.extra["at_boundary"] = res.at_boundary
+    emitter.sidecar["swept_parameter"] = name
+    emitter.sidecar["skipped"] = [list(s) for s in res.skipped]
+    emitter.sidecar["at_boundary"] = res.at_boundary
     # g_opt is a column only where the sweep optimized the coupling
     n = 3 if res.g_opt is None else 4
     cols = ("swept_value", "s_min", "omega_at_min", "g_opt")[:n]

@@ -56,30 +56,6 @@ def _back_substitute(a):
     return out
 
 
-def _pick(cond, x, y):
-    # x where cond holds, else y; the elimination branches on values only
-    # here. cond is a bool for one point, a boolean array over a batch.
-    if isinstance(cond, bool):
-        return x if cond else y
-    if cond.all():
-        return x
-    if not cond.any():
-        return y
-    return _where(cond, x, y)
-
-
-def _where(cond, x, y):
-    # x and y are numbers, arrays or sequences of them; a complex number
-    # or an Exact value on either side gives an Exact value
-    if isinstance(y, (list, tuple)):
-        return [_where(cond, u, v) for u, v in zip(x, y)]
-    if x is y:
-        return x
-    if isinstance(x, (Exact, complex)) or isinstance(y, (Exact, complex)):
-        return where(cond, x, y)
-    return np.where(cond, x, y)
-
-
 def _solve4(m, rhs):
     # Gaussian elimination with partial pivoting on a 4x4 complex system,
     # four right-hand sides at once, on numbers or on Exact arrays of one
@@ -92,9 +68,9 @@ def _solve4(m, rhs):
         p, piv = col, _raw(abs(a[col][col]))
         for r in range(col + 1, 4):
             mag = _raw(abs(a[r][col]))
-            p, piv = _pick(mag > piv, (r, mag), (p, piv))
+            p, piv = where(mag > piv, (r, mag), (p, piv))
         for r in range(col + 1, 4):  # each point's pivot row moves up
-            a[col], a[r] = _pick(p == r, (a[r], a[col]), (a[col], a[r]))
+            a[col], a[r] = where(p == r, (a[r], a[col]), (a[col], a[r]))
         if not a[col][col]:  # a zero pivot, at some point of a batch
             k = int(np.argmax(np.ravel(piv) == 0.0))  # the first such point
             # a pivot that is one number holds at every point
@@ -196,7 +172,7 @@ def solve_coefficients(params, omega, g_lin=None):
         w = (Exact(omega.astype(float)) if isinstance(omega, np.ndarray)
              else float(omega))
         if g_lin is None:
-            g1 = to_complex(params.g_lin)
+            g1 = params.g_lin  # a complex Exact array, made by _fields
         else:
             g1 = np.asarray(g_lin)
             g1 = Exact(g1.astype(complex)) if g1.ndim else complex(g1)

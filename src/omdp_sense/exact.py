@@ -28,6 +28,9 @@ operand of a complex operation takes the imaginary part 0.0, as numpy's
 and CPython's promotions give it, so signed zeros, inf and NaN come out as
 theirs.
 
+A batch branches on its values only through ``where``, which takes a bool
+for one point, so one elimination serves numbers and arrays alike.
+
 ``g17`` gives CPython's text too: the ``%.17g`` form of every float in an
 array, byte for byte, by integer arithmetic on the array.
 """
@@ -128,8 +131,30 @@ def to_complex(x):
 
 
 def where(cond, x, y):
-    """x where cond holds, else y, as an Exact value; x and y are Exact
-    values or numbers, a real one taking the imaginary part 0.0."""
+    """x where cond holds, else y. cond is a bool (one point) or a boolean
+    array; a bool, or an array true or false everywhere, gives that operand
+    itself. x and y are numbers, arrays, Exact values, or lists or tuples
+    of them taken item by item; an item that is one object on both sides
+    is kept. A complex number or an Exact value on either side gives an
+    Exact value, a real one taking the imaginary part 0.0; reals alone
+    give a numpy array."""
+    if isinstance(cond, bool):  # first: one point pays no numpy call
+        return x if cond else y
+    if cond.all():
+        return x
+    if not cond.any():
+        return y
+    return _select(cond, x, y)
+
+
+def _select(cond, x, y):
+    if isinstance(y, (list, tuple)):
+        return [_select(cond, u, v) for u, v in zip(x, y)]
+    if x is y:
+        return x
+    if not isinstance(x, (Exact, complex)) and not isinstance(
+            y, (Exact, complex)):
+        return np.where(cond, x, y)
     (xr, xi), (yr, yi) = _parts(x), _parts(y)
     re = np.where(cond, xr, yr)
     if xi is None and yi is None:

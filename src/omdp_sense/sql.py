@@ -101,26 +101,20 @@ def _t0_limits(params, omega):
     return np.where((p > 0) & (q > 0), 2.0 * np.sqrt(p * q) + r, np.nan)
 
 
-def _s_sql(params, omega, first=None):
+def _s_sql(params, omega):
     """minimize_over_g_analytic(params, omega).s_sql; for an Exact
     frequency array, a float array equal to it point by point, bit for bit.
 
-    An array point that fails the balance test or is not finite is redone
-    alone, in grid order, so it keeps the scalar value or raises the scalar
-    route's own error. On an array, ``first``, if given, is called with the
-    first point's value before any later point is redone.
+    The array is one batch; a point that fails the balance test or is not
+    finite is redone alone, in grid order, so it keeps the scalar value or
+    raises the scalar route's own error.
     """
     if not isinstance(omega, Exact):
         return minimize_over_g_analytic(params, omega).s_sql
     _require_t0(params)
     ws = omega.value
     ys = _in_blocks(lambda w: _t0_limits(params, Exact(w)), ws)
-
-    def limit(w):
-        return minimize_over_g_analytic(params, w).s_sql
-    if first is not None and len(ys):
-        first(float(_redo(limit, ws[:1], ys[:1])[0]))
-    return _redo(limit, ws, ys)
+    return _redo(lambda w: minimize_over_g_analytic(params, w).s_sql, ws, ys)
 
 
 def minimize_over_g_numeric(params, omega, g_range):
@@ -216,7 +210,8 @@ def r_factors(params, omega):
     r1 divides by the single-oscillator limit at omega_m; r2 divides by the
     uncoupled (v = 0) dual limit at omega_m. ``omega`` may be an Exact
     frequency array; the ratios are then float arrays, each value equal bit
-    for bit to the call at that frequency alone.
+    for bit to the call at that frequency alone. The first frequency is
+    taken alone first, so errors come in the order a loop raises them.
     """
     def ratios(num):
         den1 = som_sql(params.omega_m1, params.gamma1, params.kappa,
@@ -224,11 +219,10 @@ def r_factors(params, omega):
         den2 = minimize_over_g_analytic(replace(params, v_coupling=0.0),
                                         params.omega_m1).s_sql
         return {"r1": num / den1, "r2": num / den2}
-    # on an array, the first frequency's ratios, as floats, raise what a
-    # loop over the points would raise after that point's own error and
-    # before the others': a reference limit's error, or the division by a
-    # zero limit
-    return ratios(_s_sql(params, omega, first=ratios))
+    if isinstance(omega, Exact) and len(omega.value):
+        # its own error, then a reference limit's, then a zero limit's
+        ratios(_s_sql(params, float(omega.value[0])))
+    return ratios(_s_sql(params, omega))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from omdp_sense import (checks, closed_form_coefficients, default_g_range,
                         fit_shot_backaction, minimize_over_g_analytic,
                         minimize_over_g_numeric, s_add, s_add_resonant,
                         solve_coefficients)
+from omdp_sense import spectra
 from omdp_sense.checks import random_params, random_t0, rel, s_add_in_g
 from omdp_sense.spectra import POINT_BLOCK
 
@@ -96,6 +97,21 @@ def picked(entry, like):
     (checks.b_variant, b_variant_loop, 50),
     (checks.coupling_optimum, optimum_loop, 7)])
 def test_batched_check_equals_its_loop(check, loop, sets):
+    assert_equals_loop(check, loop, sets)
+
+
+@pytest.mark.parametrize("check, loop", [
+    (checks.coefficient_oracle, oracle_loop),
+    (checks.coupling_optimum, optimum_loop)])
+def test_check_equals_its_loop_across_small_blocks(check, loop,
+                                                   monkeypatch):
+    # 9 sets in blocks of 4, 4 and 1; the optimum's g scans are solved 4
+    # points at a time, so its blocks cut across the sets' scans
+    monkeypatch.setattr(spectra, "POINT_BLOCK", 4)
+    assert_equals_loop(check, loop, 9)
+
+
+def assert_equals_loop(check, loop, sets):
     batched_rng, loop_rng = (np.random.default_rng(20240817) for _ in "ab")
     entries = check(batched_rng, sets)
     want = loop(loop_rng, sets)

@@ -755,6 +755,22 @@ class TestSweepCommand:
             _, rows = read_csv(tmp_path / ("sweep_%s.csv" % panel))
             assert sum(r[2] == 1.3 for r in rows) == hits
 
+    def test_run_notes_go_to_the_sidecar_only(self, tmp_path):
+        notes = ("swept_parameter", "skipped", "at_boundary")
+        argv = ["sweep", "--set", "lo=0.9", "--set", "hi=1.2",
+                "--set", "points=4", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert main(argv + ["--format", "json"]) == 0
+        csv_man = json.loads(
+            (tmp_path / "sweep_a.csv.manifest.json").read_text())
+        json_man = json.loads(
+            (tmp_path / "sweep_a.json.manifest.json").read_text())
+        doc = json.loads((tmp_path / "sweep_a.json").read_text())
+        assert len(csv_man["skipped"]) >= 1
+        assert not set(notes) & set(doc["manifest"])
+        assert {k: json_man[k] for k in notes} == {k: csv_man[k]
+                                                   for k in notes}
+
 
 class TestValidateCommand:
     def test_default_suite_passes(self, tmp_path):

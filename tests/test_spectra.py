@@ -16,7 +16,7 @@ from omdp_sense import (DetectorParams, OmdpError, ParameterError,
 from omdp_sense import coefficients
 from omdp_sense.checks import random_params, random_t0, reference_params
 from omdp_sense.coefficients import _solve4
-from omdp_sense.exact import Exact, g17, quotients
+from omdp_sense.exact import Exact, g17, quotients, where
 from omdp_sense.optimize import log_grid
 from omdp_sense.spectra import (POINT_BLOCK, SOLVE_BLOCK, _in_blocks,
                                 _noise, _redo)
@@ -289,6 +289,61 @@ class TestExactProductAndQuotient:
             (q,) = quotients([x], real)
             assert q.im is None
             assert np.array_equal(np.asarray(q), np.asarray(x / real))
+
+
+class TestExactWhere:
+    """where(cond, x, y), the select the elimination branches through,
+    against the pick written out point by point."""
+
+    OPERANDS = (1.5, 2 - 1j, np.array([1.0, 2.0]),
+                Exact(np.array([1j, -0.0])), [0j, Exact(np.array([3.0]))])
+
+    def test_a_bool_gives_the_operand_itself(self):
+        for x in self.OPERANDS:
+            for y in self.OPERANDS:
+                assert where(True, x, y) is x
+                assert where(False, x, y) is y
+
+    def test_a_mask_true_or_false_everywhere_gives_the_operand_itself(self):
+        for x in self.OPERANDS:
+            for y in self.OPERANDS:
+                for n in (1, 3):
+                    assert where(np.ones(n, dtype=bool), x, y) is x
+                    assert where(np.zeros(n, dtype=bool), x, y) is y
+
+    def test_pivot_search_tuples(self):
+        # (pivot row, magnitude): a row number against an array of them
+        cond = np.array([True, False, True, False])
+        mag = np.array([0.5, 2.0, 3.0, 4.0])
+        rows, piv = np.array([0, 1, 1, 0]), np.array([1.0, 1.0, 2.0, 5.0])
+        got = where(cond, (2, mag), (rows, piv))
+        assert isinstance(got, list) and len(got) == 2
+        assert got[0].tolist() == [2, 1, 2, 0]
+        assert got[1].tolist() == [0.5, 1.0, 3.0, 5.0]
+
+    def test_rows_of_numbers_and_exact_values(self):
+        # a row swap where entries are Python complex numbers (constant
+        # over the batch) or Exact arrays, with signed zeros
+        cond = np.array([True, False, False, True])
+        shared = Exact(np.array([1.0, 2.0, 3.0, 4.0]))
+        ex = Exact(np.array([1 + 1j, -0.0 - 0.0j, 2.5j, complex(0.0, -0.0)]))
+        xs = [1 + 2j, ex, shared, 0j, -0.0]
+        ys = [Exact(np.array([-1.0, 0.0, -0.0, 7.0])), 3.0, shared, -0.0j,
+              0.0]
+        got = where(cond, xs, ys)
+        assert got[2] is shared
+
+        def at(v, i):  # the operand's value at point i, as CPython's complex
+            v = np.asarray(v)
+            return complex(v[i] if v.ndim else v)
+        for x, y, z in zip(xs, ys, got):
+            want = [at(x if c else y, i) for i, c in enumerate(cond.tolist())]
+            assert all(map(same_bits_c, np.asarray(z).tolist(), want))
+        # a complex number or an Exact value on either side gives an Exact
+        # value, a real one taking the imaginary part 0.0; reals stay numpy
+        assert all(isinstance(z, Exact) for z in got[:4])
+        assert got[0].im is not None and got[1].im is not None
+        assert isinstance(got[4], np.ndarray)
 
 
 def assert_g17(values):

@@ -355,7 +355,10 @@ class TestRMap:
     @pytest.mark.parametrize("fields", [
         dict(kappa=1e-300),  # a zero reference limit
         dict(gamma1=5e-324, gamma2=5e-324, kappa=1e308),
-        dict(delta_prime=-1e308)])
+        dict(delta_prime=-1e308),
+        # the first point finite, a zero reference limit, and a later
+        # point that fails on its own: the reference's error comes first
+        dict(kappa=1e-300, delta_prime=1.1, gamma1=1e-200, gamma2=1e-200)])
     def test_array_row_raises_what_the_loop_raises_first(self, fields):
         p = params(**fields)
         omegas = np.linspace(0.9, 1.15, 21)
