@@ -51,8 +51,7 @@ def rel(a, b):
 def s_add_in_g(p):
     """The solver's s_add of p as a function of (g, omega), the coupling
     handed to the solver."""
-    return lambda g, w: spectra._noise(
-        p, coefficients.solve_coefficients(p, w, g))[0]
+    return lambda g, w: sql._at(p, w, g)
 
 
 def _gated(errs, sets, gate, measure="rel_err"):
@@ -64,7 +63,7 @@ def _gated(errs, sets, gate, measure="rel_err"):
 def _blocks(rng, sets, draw):
     """The sets of a check, drawn in validate's order by draw(rng), in
     lists of at most POINT_BLOCK sets. A set of many points, such as the
-    coupling optimum's g scan, is split again by spectra._in_blocks."""
+    coupling optimum's g scan, is split again by spectra._scans."""
     for lo in range(0, sets, spectra.POINT_BLOCK):
         yield [draw(rng) for _ in range(min(spectra.POINT_BLOCK, sets - lo))]
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, checks
 from .errors import OmdpError, ParameterError, UsageError
-from .exact import Exact, g17
+from .exact import g17
 from .model import DetectorParams, frequency_grid, omega_eff
 from .spectra import s_add_som, spectrum_sweep
 from .sql import r_map, s_min_sweep
@@ -448,8 +448,8 @@ def cmd_spectrum(config, emitter):
     for (_, params), lo, hi in zip(series, ends, ends[1:]):
         part = slice(lo, hi)
         if params is None:
-            s_add[part] = np.asarray(s_add_som(
-                1.0, gamma, t["kappa"], t["g"], nth, Exact(omega[part])))
+            s_add[part] = s_add_som(1.0, gamma, t["kappa"], t["g"], nth,
+                                    omega[part])
             s_th[part] = gamma * nth
         else:
             res = spectrum_sweep(params, omega[part])
@@ -611,7 +611,7 @@ def main(argv=None):
         # ArithmeticError; numpy's warnings would only repeat it
         with np.errstate(all="ignore"):
             rc = handler(config, emitter)
-    except (OmdpError, ArithmeticError, OSError) as exc:
+    except (OmdpError, ArithmeticError, OSError, MemoryError) as exc:
         # an error exit leaves no file from its run
         if emitter is not None:
             emitter.discard()
@@ -624,6 +624,8 @@ def main(argv=None):
         if isinstance(exc, ArithmeticError):
             # an overflow or a zero divisor deep in the model
             exc = "%s: %s" % (type(exc).__name__, exc)
+        elif isinstance(exc, MemoryError):
+            exc = "out of memory" + (": %s" % exc if str(exc) else "")
         print("error: %s" % exc, file=sys.stderr)
         return 1
     for path in emitter.files:

@@ -11,14 +11,14 @@ returns one calibrated report per convention, keyed by its name.
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import optimize
 from .errors import ParameterError
-from .exact import Exact
 from .model import frequency_grid, omega_eff, thermal_occupation
-from .spectra import _in_blocks, _redo, s_add, s_add_som, spectrum_sweep
+from .spectra import _scans, s_add, s_add_som, spectrum_sweep
 
 # rad/s per model frequency unit for the reference hardware
 # (10.56 MHz oscillator); used whenever a temperature enters.
@@ -89,13 +89,10 @@ def som_noise_floor(params):
     """Minimum over frequency of the single-oscillator baseline noise,
     with oscillator 1's rates, occupation and coupling."""
     wm = params.omega_m1
-
-    def f(w):
-        return s_add_som(wm, params.gamma1, params.kappa,
-                         abs(params.g_lin), params.nth1, w)
-
+    f = partial(s_add_som, wm, params.gamma1, params.kappa,
+                abs(params.g_lin), params.nth1)
     grid = frequency_grid([wm], params.gamma1, (0.8 * wm, 1.3 * wm), 201)
-    ys = _redo(f, grid, _in_blocks(lambda w: f(Exact(w)), grid))
+    ys = next(_scans(f, [()], [grid]))
     _, fx, _ = optimize.scan_then_golden(f, grid, ys)
     return fx
 

@@ -17,7 +17,7 @@ from .model import chi_mech
 # tracemalloc
 SOLVE_BLOCK = 8192
 
-# points per block of _in_blocks and of validate's batched checks: a
+# points per block of _scans and of validate's batched checks: a
 # per-point batch carries every detector field as an array; blocks of 1024
 # raise no job's peak memory above what blocks of 64 to 512 give
 POINT_BLOCK = 1024
@@ -44,11 +44,15 @@ def s_add(params, omega):
 
     S_add = (|A/E|^2 + |B/E|^2)/2 + S_th with E = C + D and
     S_th = gamma1 nth1 |C/E|^2 + gamma2 nth2 |D/E|^2.
+
+    One point, or a batch as solve_coefficients takes it: float arrays,
+    equal bit for bit to the calls point by point. Only one detector is
+    refused for g_lin = 0 before its solve; a batch fails in _noise.
     """
-    if params.g_lin == 0:
+    if not isinstance(params, (list, tuple)) and params.g_lin == 0:
         raise TransductionAbsentError("g_lin = 0 carries no signal")
-    sadd, sth = _noise(params, solve_coefficients(params, omega))
-    return AddNoise(s_add=sadd, s_th=sth)
+    noise = _noise(params, solve_coefficients(params, omega))
+    return AddNoise(*(x.value if isinstance(x, Exact) else x for x in noise))
 
 
 def _noise(params, co):
@@ -71,30 +75,35 @@ def _noise(params, co):
     return quantum + sth, sth
 
 
-def _in_blocks(f, *points):
-    """f on blocks of POINT_BLOCK points of the per-point sequences
-    ``points``, as one float array, numpy's warnings off. A block that
-    raises an error one point can raise is NaN; a batch's ParameterError,
-    such as detectors not sharing theta, raises at once."""
-    out = np.empty(len(points[0]))
-    for lo in range(0, len(out), POINT_BLOCK):
+def _scans(f, sets, grids):
+    """Yield, set by set, f(*set, x) over the set's grid as a float array.
+
+    All grids are one batch f(*fields, xs), each field repeated over its
+    set's grid (detectors as a list, numbers as an array), in blocks of
+    POINT_BLOCK points, numpy's warnings off. A block that raises an error
+    one point can raise is NaN; a batch's ParameterError raises at once.
+    Just before a set is yielded, each value that is not finite is redone
+    alone, in grid order, so it keeps the scalar value or raises what a
+    loop over the sets and points would, in that order.
+    """
+    sizes = [len(xs) for xs in grids]
+    fields = [np.repeat(np.asarray(col), sizes) for col in zip(*sets)]
+    fields = [x.tolist() if x.dtype == object else x for x in fields]
+    xs_all = np.concatenate([np.empty(0)] + list(grids))
+    ys_all = np.empty(len(xs_all))
+    for lo in range(0, len(xs_all), POINT_BLOCK):
         part = slice(lo, lo + POINT_BLOCK)
         try:
             with np.errstate(all="ignore"):
-                out[part] = f(*(x[part] for x in points))
+                ys_all[part] = f(*(x[part] for x in fields), xs_all[part])
         except (ArithmeticError, SingularSystemError,
                 TransductionAbsentError):
-            out[part] = np.nan
-    return out
-
-
-def _redo(f, xs, ys):
-    """ys with each value that is not finite redone, in point order, by the
-    scalar objective f at that point of xs, as a Python float: a bad point
-    keeps the scalar value or raises what a loop over the points would."""
-    for i in np.flatnonzero(~np.isfinite(ys)).tolist():
-        ys[i] = f(float(xs[i]))
-    return ys
+            ys_all[part] = np.nan
+    for s, xs, ys in zip(sets, grids,
+                         np.split(ys_all, np.cumsum(sizes)[:-1])):
+        for i in np.flatnonzero(~np.isfinite(ys)).tolist():
+            ys[i] = f(*s, float(xs[i]))
+        yield ys
 
 
 def _thermal(params, rc, rd):
@@ -148,17 +157,20 @@ def s_add_resonant(params, omega):
 def s_add_som(omega_m, gamma1, kappa, g_lin, nth1, omega):
     """Single-oscillator baseline: |X/(x1 G) + Y G|^2 + gamma1 nth1.
 
-    ``omega`` may be an Exact frequency array; every value then equals, bit
-    for bit, the call at that frequency alone.
+    ``omega`` may be a numpy frequency array; the result is then a float
+    array, every value equal, bit for bit, to the call at that frequency
+    alone.
     """
     if omega_m <= 0 or gamma1 <= 0 or kappa <= 0:
         raise ParameterError("rates must be positive")
     if g_lin == 0:
         raise TransductionAbsentError("g_lin = 0 carries no signal")
-    x1 = chi_mech(omega, omega_m, gamma1)
-    shot = _shot_prefactor(omega, kappa) / x1
+    w = Exact(omega) if isinstance(omega, np.ndarray) else omega
+    x1 = chi_mech(w, omega_m, gamma1)
+    shot = _shot_prefactor(w, kappa) / x1
     y = _backaction_prefactor(omega_m, kappa)
-    return abs(shot / g_lin + y * g_lin) ** 2 + gamma1 * nth1
+    s = abs(shot / g_lin + y * g_lin) ** 2 + gamma1 * nth1
+    return s.value if isinstance(s, Exact) else s
 
 
 def spectrum_sweep(params, grid):

@@ -10,6 +10,7 @@ over g (the numeric optimum).
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .errors import ParameterError, StructureViolationError
 from .exact import Exact
 from .model import (_chi_mechs, chi_cavity, chi_cavity_conj, chi_mech,
                     frequency_grid, omega_eff)
-from .spectra import (_backaction_prefactor, _in_blocks, _noise, _redo,
+from .spectra import (_backaction_prefactor, _noise, _scans,
                       _shot_prefactor, s_add)
 
 DEFAULT_G_RANGE_FACTORS = (1e-4, 10.0)  # times the mechanical frequency
@@ -93,28 +94,34 @@ def minimize_over_g_analytic(params, omega):
                         g_opt=(p / q) ** 0.25)
 
 
-def _t0_limits(params, omega):
-    """2 sqrt(pq) + r on an Exact frequency array, for one detector or one
-    per point: a float array, NaN where p or q is not positive."""
-    p, q, r = map(np.asarray, _shot_backaction(params, omega))
+def _t0_limit(params, omega):
+    """minimize_over_g_analytic(params, omega).s_sql at one point. On a
+    numpy frequency array, with one detector or one per point (not checked
+    for T = 0): 2 sqrt(pq) + r as a float array, NaN where p or q is not
+    positive."""
+    if not isinstance(omega, np.ndarray):
+        return minimize_over_g_analytic(params, omega).s_sql
+    p, q, r = map(np.asarray, _shot_backaction(params, Exact(omega)))
     # np.sqrt rounds as math.sqrt does
     return np.where((p > 0) & (q > 0), 2.0 * np.sqrt(p * q) + r, np.nan)
 
 
 def _s_sql(params, omega):
-    """minimize_over_g_analytic(params, omega).s_sql; for an Exact
-    frequency array, a float array equal to it point by point, bit for bit.
-
-    The array is one batch; a point that fails the balance test or is not
-    finite is redone alone, in grid order, so it keeps the scalar value or
-    raises the scalar route's own error.
-    """
-    if not isinstance(omega, Exact):
-        return minimize_over_g_analytic(params, omega).s_sql
+    """minimize_over_g_analytic(params, omega).s_sql; for a numpy frequency
+    array, one scan of _t0_limit, equal to it point by point, bit for bit:
+    a point that fails the balance test or is not finite is redone alone,
+    so it keeps the scalar value or raises the scalar route's own error."""
+    if not isinstance(omega, np.ndarray):
+        return _t0_limit(params, omega)
     _require_t0(params)
-    ws = omega.value
-    ys = _in_blocks(lambda w: _t0_limits(params, Exact(w)), ws)
-    return _redo(lambda w: minimize_over_g_analytic(params, w).s_sql, ws, ys)
+    # the detector bound, so its fields stay numbers, not per-point arrays
+    return next(_scans(partial(_t0_limit, params), [()], [omega]))
+
+
+def _at(params, omega, g):
+    """The solver's S_add with the coupling g handed to the solver: one
+    point, or a batch as solve_coefficients takes it."""
+    return _noise(params, solve_coefficients(params, omega, g))[0]
 
 
 def minimize_over_g_numeric(params, omega, g_range):
@@ -133,27 +140,16 @@ def minimize_over_g_numeric(params, omega, g_range):
     """
     batch = isinstance(params, (list, tuple))
     if not batch:
-        sets = ((params, omega, g_range),)
-    elif len(params) == len(omega) == len(g_range) > 0:
-        sets = tuple(zip(params, omega, g_range))
-    else:
+        params, omega, g_range = [params], [omega], [g_range]
+    elif not len(params) == len(omega) == len(g_range) > 0:
         raise ParameterError("a batch needs detectors, each with one "
                              "frequency and one g range")
-    grids = [optimize.log_grid(*r) for _, _, r in sets]
-    sizes = [len(xs) for xs in grids]
-    scans = np.split(_in_blocks(
-        lambda p, w, g: _noise(p, solve_coefficients(p, w, g))[0],
-        [p for (p, _, _), k in zip(sets, sizes) for _ in range(k)],
-        np.repeat([float(w) for _, w, _ in sets], sizes),
-        np.concatenate(grids)), np.cumsum(sizes)[:-1])
+    sets = list(zip(params, omega))
+    grids = [optimize.log_grid(*r) for r in g_range]
     out = []
-    for (p, w, _), xs, ys in zip(sets, grids, scans):
-        def at(g, p=p, w=w):
-            return _noise(p, solve_coefficients(p, w, g))[0]
-
-        ys = _redo(at, xs, ys)
-        x, fx, at_boundary = optimize.scan_then_golden(at, xs, ys)
-        out.append(GMinNumeric(s_sql=fx, g_opt=x, at_boundary=at_boundary))
+    for s, xs, ys in zip(sets, grids, _scans(_at, sets, grids)):
+        x, fx, edge = optimize.scan_then_golden(partial(_at, *s), xs, ys)
+        out.append(GMinNumeric(s_sql=fx, g_opt=x, at_boundary=edge))
     return tuple(out) if batch else out[0]
 
 
@@ -208,7 +204,7 @@ def r_factors(params, omega):
     """Quantum-limit ratios against the two reference scenarios.
 
     r1 divides by the single-oscillator limit at omega_m; r2 divides by the
-    uncoupled (v = 0) dual limit at omega_m. ``omega`` may be an Exact
+    uncoupled (v = 0) dual limit at omega_m. ``omega`` may be a numpy
     frequency array; the ratios are then float arrays, each value equal bit
     for bit to the call at that frequency alone. The first frequency is
     taken alone first, so errors come in the order a loop raises them.
@@ -219,9 +215,9 @@ def r_factors(params, omega):
         den2 = minimize_over_g_analytic(replace(params, v_coupling=0.0),
                                         params.omega_m1).s_sql
         return {"r1": num / den1, "r2": num / den2}
-    if isinstance(omega, Exact) and len(omega.value):
+    if isinstance(omega, np.ndarray) and len(omega):
         # its own error, then a reference limit's, then a zero limit's
-        ratios(_s_sql(params, float(omega.value[0])))
+        ratios(_s_sql(params, float(omega[0])))
     return ratios(_s_sql(params, omega))
 
 
@@ -253,11 +249,11 @@ def _unit_crossings(omegas, logvals):
 def r_map(params, omega_grid, v_grid):
     """log10 of both ratios on an omega x v grid, with unit-contour crossings.
 
-    Each v row is one r_factors call on the omega grid as an Exact array.
+    Each v row is one r_factors call on the omega grid as a float array.
     """
     omega_grid = tuple(float(w) for w in omega_grid)
     v_grid = tuple(float(v) for v in v_grid)
-    omegas = Exact(np.array(omega_grid, dtype=float))
+    omegas = np.array(omega_grid, dtype=float)
     rows1, rows2, cr1, cr2 = [], [], [], []
     for v in v_grid:
         rf = r_factors(replace(params, v_coupling=v), omegas)
@@ -333,31 +329,21 @@ def s_min_sweep(template, param, values, mode="fixed_g", grid="figure"):
         grids = [frequency_grid([scale, omega_eff(scale, pv.v_coupling)],
                                 min(pv.gamma1, pv.gamma2), span, 201)
                  for _, pv in points]
-    # every value's scan in one batch (empty when all are skipped), equal
-    # to the objective point by point, bit for bit; a bad point is redone
-    # just before its value's pick or polish, so errors come in value order
-    sizes = [len(xs) for xs in grids]
-    scans = np.split(_in_blocks(
-        (lambda p, w: _t0_limits(p, Exact(w))) if mode == "sql" else
-        (lambda p, w: _noise(p, solve_coefficients(p, w))[0]),
-        [pv for (_, pv), k in zip(points, sizes) for _ in range(k)],
-        np.concatenate([np.empty(0)] + grids)), np.cumsum(sizes)[:-1])
+    # all values' scans in one batch, redone value by value (_scans)
+    objective = (_t0_limit if mode == "sql"
+                 else lambda p, w: s_add(p, w).s_add)
+    scans = _scans(objective, [(pv,) for _, pv in points], grids)
 
     out_v, out_s, out_w, out_g = [], [], [], []
     at_boundary = 0
     for (v, pv), xs, ys in zip(points, grids, scans):
-        def objective(w, pv=pv):
-            if mode == "sql":
-                return minimize_over_g_analytic(pv, w).s_sql
-            return s_add(pv, w).s_add
-
-        ys = _redo(objective, xs, ys)
         if grid == "figure":
             k = int(np.argmin(ys))
             w_at, s_at = float(xs[k]), float(ys[k])
             edge = k in (0, len(xs) - 1)
         else:
-            w_at, s_at, edge = optimize.scan_then_golden(objective, xs, ys)
+            w_at, s_at, edge = optimize.scan_then_golden(
+                partial(objective, pv), xs, ys)
 
         at_boundary += edge
         out_v.append(v)

@@ -244,6 +244,37 @@ class TestExitCodes:
             assert "Traceback" not in err and err.count("\n") == 1
             assert not list(tmp_path.iterdir())
 
+    def test_out_of_memory_is_one(self, tmp_path, capsys, monkeypatch):
+        # a valid sweep of very many values whose scans do not fit
+        message = ("Unable to allocate 389. MiB for an array with shape "
+                   "(51000000,) and data type float64")
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+        monkeypatch.setattr(cli, "s_min_sweep", no_memory)
+        rc = main(["sweep", "--set", "points=1000000",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: out of memory: %s\n" % (
+            message,)
+        assert not list(tmp_path.iterdir())
+
+    def test_out_of_memory_removes_the_files_written_before(
+            self, tmp_path, capsys, monkeypatch):
+        # snr's first table is written, its second runs out of memory
+        calls, s_r = [], cli.s_r
+
+        def second_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise MemoryError
+            return s_r(*args)
+        monkeypatch.setattr(cli, "s_r", second_fails)
+        rc = main(["snr", "--out", str(tmp_path)])
+        assert rc == 1 and len(calls) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert not list(tmp_path.iterdir())
+
     def test_overflow_prints_no_numpy_warning(self, tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

@@ -13,14 +13,13 @@ from omdp_sense import (DetectorParams, OmdpError, ParameterError,
                         frequency_grid, omega_eff,
                         s_add, s_add_resonant, s_add_som, solve_coefficients,
                         spectrum_sweep)
-from omdp_sense import coefficients
+from omdp_sense import coefficients, spectra
 from omdp_sense.checks import random_params, random_t0, reference_params
 from omdp_sense.coefficients import _solve4
 from omdp_sense.exact import Exact, g17, quotients, where
 from omdp_sense.optimize import log_grid
-from omdp_sense.spectra import (POINT_BLOCK, SOLVE_BLOCK, _in_blocks,
-                                _noise, _redo)
-from omdp_sense.sql import _shot_backaction, default_g_range
+from omdp_sense.spectra import POINT_BLOCK, SOLVE_BLOCK, _noise, _scans
+from omdp_sense.sql import _at, _shot_backaction, default_g_range
 
 
 params = partial(reference_params, nth1=10.0, nth2=10.0)
@@ -113,8 +112,9 @@ class TestSomBaseline:
         p = params(**SET_1)
         grid = frequency_grid([1.0], p.gamma1, (0.9, 1.2), 2001)
         args = (1.0, p.gamma1, p.kappa, p.g_lin, p.nth1)
-        got = np.asarray(s_add_som(*args, Exact(grid))).tolist()
-        assert got == [s_add_som(*args, w) for w in grid.tolist()]
+        got = s_add_som(*args, grid)
+        assert type(got) is np.ndarray
+        assert got.tolist() == [s_add_som(*args, w) for w in grid.tolist()]
 
     def test_array_route_equals_scalar_on_random_sets(self):
         rng = np.random.default_rng(91)
@@ -123,7 +123,7 @@ class TestSomBaseline:
             wm = p.omega_m1
             grid = frequency_grid([wm], p.gamma1, (0.8 * wm, 1.3 * wm), 201)
             args = (wm, p.gamma1, p.kappa, abs(p.g_lin), p.nth1)
-            got = np.asarray(s_add_som(*args, Exact(grid))).tolist()
+            got = s_add_som(*args, grid).tolist()
             assert got == [s_add_som(*args, w) for w in grid.tolist()]
 
 
@@ -471,6 +471,7 @@ class TestArrayRouteBitIdentity:
     def assert_identical(self, p, grid):
         co = solve_coefficients(p, grid)
         res = spectrum_sweep(p, grid)
+        batch = s_add(p, grid)  # one detector on a frequency array
         assert np.array_equal(res.omega, grid)
         for i, w in enumerate(grid.tolist()):
             one = solve_coefficients(p, w)
@@ -479,6 +480,8 @@ class TestArrayRouteBitIdentity:
             sadd, sth = _noise(p, one)
             assert res.s_add[i] == sadd and res.s_th[i] == sth, w
             assert res.a_p[i] == abs(one.e_coef), w
+            assert same_bits(batch.s_add[i], sadd), w
+            assert same_bits(batch.s_th[i], sth), w
 
     @pytest.mark.parametrize("v", [0.1, 0.15])
     def test_dark_mode_window(self, v):
@@ -648,20 +651,22 @@ class TestCouplingArrayRoute:
                                g_lin=np.array([0.03, 0.04]))
 
 
+def each_point(f, ps, ws):
+    """f(p, w) at every point of a batch, one detector and frequency per
+    point, through spectra._scans with each point a set of its own: one
+    batch in blocks of POINT_BLOCK points, then each bad point redone
+    alone, in point order."""
+    return np.concatenate([np.empty(0)] + list(_scans(
+        f, [(p,) for p in ps], [[w] for w in np.asarray(ws).tolist()])))
+
+
 def s_add_each(ps, ws, gs=None):
     """s_add at every point of a batch, one detector, frequency and, if
-    given, coupling per point, through the two batch steps as the coupling
-    scans compose them: blocks of POINT_BLOCK points, then each bad point
-    redone alone through scalar s_add, in point order."""
-    points = (ps, ws) if gs is None else (ps, ws, gs)
-    ys = _in_blocks(lambda p, *x: _noise(p, solve_coefficients(p, *x))[0],
-                    *points)
-
-    def alone(i):
-        p = ps[int(i)] if gs is None else replace(ps[int(i)],
-                                                  g_lin=gs[int(i)])
-        return s_add(p, float(ws[int(i)])).s_add
-    return _redo(alone, np.arange(len(ws)), ys)
+    given, coupling per point (then put into the point's detector), as the
+    fixed_g scans take it: batch s_add, and scalar s_add for a bad point."""
+    if gs is not None:
+        ps = [replace(p, g_lin=g) for p, g in zip(ps, np.asarray(gs).tolist())]
+    return each_point(lambda p, w: s_add(p, w).s_add, ps, ws)
 
 
 class TestPerPointBatch:
@@ -674,6 +679,11 @@ class TestPerPointBatch:
         each = s_add_each(ps, np.broadcast_to(omega, len(ps)),
                           None if g_lin is None
                           else np.broadcast_to(g_lin, len(ps)))
+        # s_add itself on the per-point detectors, a coupling put into each
+        batch = s_add(ps if g_lin is None else [
+            replace(p, g_lin=g)
+            for p, g in zip(ps, np.broadcast_to(g_lin, len(ps)).tolist())],
+            omega)
         for i, p in enumerate(ps):
             w = float(omega[i] if np.ndim(omega) else omega)
             if g_lin is not None:
@@ -684,6 +694,8 @@ class TestPerPointBatch:
             ref = s_add(p, w)
             assert sadd[i] == ref.s_add and sth[i] == ref.s_th, i
             assert each[i] == ref.s_add, i
+            assert same_bits(batch.s_add[i], ref.s_add), i
+            assert same_bits(batch.s_th[i], ref.s_th), i
 
     @pytest.mark.parametrize("omega_each", [True, False])
     @pytest.mark.parametrize("g_lin", [None, "shared", "each"])
@@ -726,16 +738,26 @@ class TestPerPointBatch:
         for i in (0, 1, POINT_BLOCK - 1, POINT_BLOCK, SOLVE_BLOCK - 1,
                   SOLVE_BLOCK, len(grid) - 1):
             assert got[i] == s_add(ps[i], float(grid[i])).s_add
-        # a point that fails makes its own block NaN, and only that block
+        # a point that fails makes its own block NaN, and only that block:
+        # its POINT_BLOCK points, and no other, are redone alone
+        bad, redone = params(v_coupling=0.3), []
+        ps[POINT_BLOCK + 5] = bad
+
+        def objective(p, w):
+            if not isinstance(p, list):
+                redone.append(w)
+            elif any(q is bad for q in p):
+                raise ZeroDivisionError
+            return s_add(p, w).s_add
+        again = each_point(objective, ps, grid)
+        assert redone == grid[POINT_BLOCK:2 * POINT_BLOCK].tolist()
+        for i in (POINT_BLOCK - 1, POINT_BLOCK, POINT_BLOCK + 5,
+                  2 * POINT_BLOCK - 1, 2 * POINT_BLOCK):
+            assert again[i] == s_add(ps[i], float(grid[i])).s_add
+        # a point that fails alone too raises s_add's own error
         ps[POINT_BLOCK + 5] = params(g_lin=0.0)
-        ys = _in_blocks(lambda p, w: _noise(p, solve_coefficients(p, w))[0],
-                        ps, grid)
-        bad = ~np.isfinite(ys)
-        assert bad[POINT_BLOCK:2 * POINT_BLOCK].all()
-        assert bad.sum() == POINT_BLOCK
         with pytest.raises(TransductionAbsentError, match="g_lin = 0"):
-            _redo(lambda i: s_add(ps[int(i)], float(grid[int(i)])).s_add,
-                  np.arange(len(grid)), ys)
+            s_add_each(ps, grid)
 
     def test_vanishing_transduction_raises_as_the_loop(self):
         ps = [params(), params(g_lin=0.0), params(g_lin=0.05)]
@@ -804,6 +826,103 @@ class TestPerPointBatch:
                      ([], 1.05)):
             with pytest.raises(ParameterError):
                 solve_coefficients(*args)
+
+
+class TestSAddBatch:
+    """s_add on a batch: float arrays, its zero-coupling rule, and the
+    scans' redo of a point the batch cannot take."""
+
+    def test_batches_give_float_arrays(self):
+        ws = np.linspace(0.9, 1.2, 7)
+        for ps, omega in ((params(), ws), ([params()] * 7, ws),
+                          ([params(v_coupling=0.2)] * 7, 1.05)):
+            res = s_add(ps, omega)
+            for x in (res.s_add, res.s_th):
+                assert type(x) is np.ndarray and x.dtype == float
+                assert x.shape == (7,)
+        one = s_add(params(), 1.05)
+        assert type(one.s_add) is float and type(one.s_th) is float
+
+    def test_zero_coupling_precheck_is_for_one_detector(self):
+        with pytest.raises(TransductionAbsentError, match="g_lin = 0"):
+            s_add(params(g_lin=0.0), np.array([1.0, 1.05]))
+        # among per-point detectors the noise refuses the batch, and a scan
+        # redoes the point alone with s_add's own message
+        ps = [params(), params(g_lin=0.0)]
+        with pytest.raises(TransductionAbsentError, match="vanished"):
+            s_add(ps, np.array([1.0, 1.05]))
+        with pytest.raises(TransductionAbsentError, match="g_lin = 0"):
+            s_add_each(ps, np.array([1.0, 1.05]))
+
+
+class TestScans:
+    """spectra._scans: one batch over all sets' grids, then each set's bad
+    points redone alone just before the set is yielded."""
+
+    @pytest.mark.parametrize("block", [1, 4, 5])
+    def test_equals_scalar_calls_across_blocks(self, monkeypatch, block):
+        # small blocks cut across sets of unequal sizes, one of them empty;
+        # detectors go on as a list, frequencies as a float array
+        monkeypatch.setattr(spectra, "POINT_BLOCK", block)
+        ps = [params(v_coupling=v, g_lin=0.03 + v) for v in (0.0, 0.1, 0.2,
+                                                              0.3)]
+        ws = [0.95, 1.0, 1.05, 1.1]
+        grids = [np.geomspace(1e-3, 0.3, k) for k in (7, 0, 3, 11)]
+        sets = list(zip(ps, ws))
+        seen = []
+
+        def at(p, w, g):
+            if isinstance(g, np.ndarray):
+                seen.append((type(p), type(w), len(g)))
+            return _at(p, w, g)
+        got = list(_scans(at, sets, grids))
+        assert len(got) == len(sets)
+        n = sum(map(len, grids))
+        assert seen == [(list, np.ndarray, min(block, n - lo))
+                        for lo in range(0, n, block)]
+        for (p, w), xs, ys in zip(sets, grids, got):
+            want = [_at(p, w, g) for g in xs.tolist()]
+            assert all(map(same_bits, ys.tolist(), want))
+        # one field, the detector alone, with s_add as the objective
+        got = list(_scans(lambda p, w: s_add(p, w).s_add,
+                          [(p,) for p in ps], [g + 0.9 for g in grids]))
+        for p, xs, ys in zip(ps, grids, got):
+            want = [s_add(p, w).s_add for w in (xs + 0.9).tolist()]
+            assert all(map(same_bits, ys.tolist(), want))
+
+    def test_a_set_is_redone_after_the_set_before_is_yielded(self):
+        log = []
+
+        def f(tag, x):
+            if isinstance(x, np.ndarray):  # the batch: NaN above 0.5
+                log.append(("batch", tag.tolist(), x.tolist()))
+                return np.where(x > 0.5, np.nan, x)
+            log.append(("redo", tag, x))
+            return -x
+        grids = [np.array([0.1, 0.6, 0.7]), np.array([0.2, 0.9])]
+        for k, ys in enumerate(_scans(f, [(0,), (1,)], grids)):
+            log.append(("yield", k, ys.tolist()))
+        assert log == [("batch", [0, 0, 0, 1, 1], [0.1, 0.6, 0.7, 0.2, 0.9]),
+                       ("redo", 0, 0.6), ("redo", 0, 0.7),
+                       ("yield", 0, [0.1, -0.6, -0.7]),
+                       ("redo", 1, 0.9), ("yield", 1, [0.2, -0.9])]
+
+    def test_a_batch_parameter_error_raises_at_once(self):
+        calls = []
+
+        def f(p, x):
+            calls.append(x)
+            if isinstance(x, np.ndarray):
+                raise ParameterError("the whole batch")
+            return x
+        with pytest.raises(ParameterError, match="whole batch"):
+            next(_scans(f, [(0,), (1,)], [np.ones(3), np.ones(2)]))
+        assert len(calls) == 1  # the batch's only; no point redone
+        # detectors that do not share theta, a real batch-level error
+        grid = np.array([1.0, 1.1])
+        with pytest.raises(ParameterError, match="theta"):
+            next(_scans(lambda p, w: s_add(p, w).s_add,
+                        [(params(),), (params(theta=0.3),)], [grid, grid]))
 
 
 def bits(zs):

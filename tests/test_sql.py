@@ -130,7 +130,7 @@ class TestAnalyticMinimizer:
 
 
 class TestArrayOptimum:
-    """The T = 0 optimum on an Exact frequency array against
+    """The T = 0 optimum on a numpy frequency array against
     minimize_over_g_analytic point by point, bit for bit."""
 
     def test_equals_scalar_on_random_sets(self):
@@ -139,7 +139,7 @@ class TestArrayOptimum:
             p, w = random_t0(rng)
             wm = p.omega_m1
             ws = np.concatenate(([w], np.linspace(0.8, 1.3, 302) * wm))
-            got = _s_sql(p, Exact(ws)).tolist()
+            got = _s_sql(p, ws).tolist()
             assert got == [minimize_over_g_analytic(p, x).s_sql
                            for x in ws.tolist()]
 
@@ -184,11 +184,11 @@ class TestArrayOptimum:
                 first = exc
                 break
         if first is None:
-            got = _s_sql(p, Exact(ws)).tolist()
+            got = _s_sql(p, ws).tolist()
             assert np.array_equal(got, want, equal_nan=True)
         else:
             with pytest.raises(type(first)) as exc:
-                _s_sql(p, Exact(ws))
+                _s_sql(p, ws)
             assert str(exc.value) == str(first)
 
 
@@ -202,7 +202,7 @@ class TestArrayOptimum:
         for v in np.linspace(0.0, 0.3, 13).tolist():
             p = params(gamma1=gamma, gamma2=gamma, kappa=kappa, v_coupling=v)
             try:
-                s = _s_sql(p, Exact(ws))
+                s = _s_sql(p, ws)
             except StructureViolationError:
                 continue
             assert (s > 0).all(), v
@@ -215,7 +215,7 @@ class TestArrayOptimum:
         ws = np.linspace(0.9, 1.15, 101)
         for v in np.linspace(0.0, 0.3, 13).tolist():
             p = params(gamma1=1e-100, gamma2=1e-100, g_lin=g, v_coupling=v)
-            assert (sql._t0_limits(p, Exact(ws)) > 0).all(), v
+            assert (sql._t0_limit(p, ws) > 0).all(), v
             assert all(minimize_over_g_analytic(p, w).s_sql > 0
                        for w in ws.tolist()), v
 
@@ -339,6 +339,20 @@ class TestRFactors:
     def test_rejects_thermal_state(self):
         with pytest.raises(ParameterError):
             r_factors(params(nth1=1.0, nth2=1.0), 1.0)
+        with pytest.raises(ParameterError):
+            r_factors(params(nth1=1.0, nth2=1.0), np.array([1.0, 1.1]))
+
+    def test_numpy_array_equals_scalar_calls(self):
+        # float arrays in, float arrays out, bit for bit the scalar calls
+        omegas = np.linspace(0.9, 1.15, 41)
+        for v in (0.0, 0.2):
+            rf = r_factors(params(v_coupling=v), omegas)
+            each = [r_factors(params(v_coupling=v), w)
+                    for w in omegas.tolist()]
+            for key in ("r1", "r2"):
+                assert type(rf[key]) is np.ndarray
+                assert rf[key].tolist() == [r[key] for r in each]
+        assert r_factors(params(), omegas[:0])["r1"].shape == (0,)
 
 
 class TestRMap:
@@ -366,7 +380,7 @@ class TestRMap:
             for w in omegas.tolist():
                 r_factors(p, w)
         with pytest.raises(type(loop.value)) as row:
-            r_factors(p, Exact(omegas))
+            r_factors(p, omegas)
         assert str(row.value) == str(loop.value)
 
     def grid_map(self):
@@ -565,7 +579,9 @@ class TestSMinSweep:
         scalar = getattr(sql, name)
 
         def polish_fails(p, w):
-            if p.kappa == 0.1 and w not in grid0:
+            # a batch of the fixed_g scan passes through
+            if (not isinstance(p, list) and p.kappa == 0.1
+                    and w not in grid0):
                 raise PolishError
             return scalar(p, w)
         monkeypatch.setattr(sql, name, polish_fails)
