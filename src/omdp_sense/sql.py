@@ -4,8 +4,8 @@ At T = 0 the additional noise is exactly p/g^2 + q g^2 + r in the (real)
 coupling g, with p, q and r in closed form from the susceptibilities, so the
 minimum 2 sqrt(pq) + r at g = (p/q)^(1/4) is computed directly. Two
 independent routes check it against the response solver: a three-point fit
-of s_add in g (the structure check) and a scan-plus-golden-section search
-over g (the numeric optimum).
+of s_add in g (the structure check) and a scan-plus-Brent search over g
+(the numeric optimum).
 """
 
 import math
@@ -125,7 +125,7 @@ def _at(params, omega, g):
 
 
 def minimize_over_g_numeric(params, omega, g_range):
-    """Minimize the solver's s_add over real g: scan, then golden section.
+    """Minimize the solver's s_add over real g: scan, then Brent's method.
 
     The log grid over g_range (optimize.PER_DECADE points a decade) is
     solved as one batch, equal bit for bit to s_add point by point; the
@@ -197,6 +197,14 @@ def _shot_backaction(params, omega):
     p = 0.5 * (abs(alpha_a) ** 2 + abs(alpha_b) ** 2)
     q = 0.5 * (abs(beta_a) ** 2 + abs(beta_b) ** 2)
     r = (alpha_a * beta_a.conjugate() + alpha_b * beta_b.conjugate()).real
+    if not isinstance(omega, Exact):
+        # one point refuses a term that is not finite; a batch leaves its
+        # points to be redone one by one (spectra._scans)
+        for name, term in (("p", p), ("q", q), ("r", r)):
+            if not math.isfinite(term):
+                raise StructureViolationError(
+                    "shot/back-action term %s is not finite (%s = %r)"
+                    % (name, name, term))
     return p, q, r
 
 
@@ -294,8 +302,9 @@ def s_min_sweep(template, param, values, mode="fixed_g", grid="figure"):
     at every frequency (zero-temperature template required). ``grid`` picks
     the frequency sampling: "figure" scans the fixed figure-resolution
     window, "refined" resolves linewidth-scale structure and polishes the
-    winning cell by golden section, which reaches the narrow interference
-    notches the coarse window steps over.
+    winning cell, which reaches the narrow interference notches the coarse
+    window steps over: by Brent's method in fixed_g mode, by golden section
+    in sql mode.
     """
     if param not in _SWEEP_PARAMS:
         raise ParameterError("sweep parameter must be one of %s" % (_SWEEP_PARAMS,))
@@ -342,8 +351,12 @@ def s_min_sweep(template, param, values, mode="fixed_g", grid="figure"):
             w_at, s_at = float(xs[k]), float(ys[k])
             edge = k in (0, len(xs) - 1)
         else:
+            # mode=sql keeps golden section: there d ln g_opt / d ln omega
+            # is 7e3-5e4, so the rel 1e-9 g_opt reference pins golden's
+            # path in omega, which Brent's method does not keep
             w_at, s_at, edge = optimize.scan_then_golden(
-                partial(objective, pv), xs, ys)
+                partial(objective, pv), xs, ys,
+                polish=optimize.golden_min if mode == "sql" else None)
 
         at_boundary += edge
         out_v.append(v)

@@ -18,10 +18,10 @@ def checked_scans(monkeypatch):
     list of grids scanned."""
     scan, grids = optimize.scan_then_golden, []
 
-    def checked(f, xs, ys):
+    def checked(f, xs, ys, polish=None):
         grids.append(xs)
         # the objective takes Python floats, as the polish passes them
         assert np.asarray(ys).tolist() == [f(x) for x in xs.tolist()]
-        return scan(f, xs, ys)
+        return scan(f, xs, ys, polish)
     monkeypatch.setattr(optimize, "scan_then_golden", checked)
     return grids

@@ -210,11 +210,17 @@ class TestExitCodes:
         ("sweep", ["mode=sql", "grid=refined", "delta_prime=-1e308"],
          "ZeroDivision"),
         ("sweep", ["mode=sql", "grid=refined", "gamma=1e308"], "Overflow"),
+        # q overflows at some frequency; the term is refused where it is
+        # made, not by the writer
         ("sweep", ["mode=sql", "grid=refined", "kappa=1e-300"],
-         "NaN or inf"),
+         "term q is not finite"),
         # the floor scan overflows at some points and not at others; it
         # raises where the scalar scan does
-        ("snr", ["g=1e-156"], "OverflowError")])
+        ("snr", ["g=1e-156"], "OverflowError"),
+        # panel d from kappa = 1e-300: on the figure grid q overflows at
+        # omega = 1, where the writer used to refuse the NaN limit
+        ("sweep", ["panel=d", "lo=1e-300", "hi=0.05", "points=5",
+                   "mode=sql"], "term q is not finite")])
     def test_value_outside_domain_is_one(self, tmp_path, capsys, command,
                                          settings, word):
         argv = [command, "--out", str(tmp_path)]
@@ -849,8 +855,9 @@ class TestSolveCounts:
     one coupling at a time."""
 
     def count(self, monkeypatch, tmp_path, argv,
-              alone=("golden_min", "fit_shot_backaction")):
-        # golden_min holds the polish and its parabolic step
+              alone=("brent_min", "fit_shot_backaction")):
+        # brent_min holds the polish (golden_min only mode=sql's, which
+        # solves no coefficients)
         calls = {"scalar": 0, "batched": 0, "elsewhere": 0}
         solve = coefficients._solve4
 
@@ -878,10 +885,10 @@ class TestSolveCounts:
     def test_refined_sweep_solves_alone_only_in_polish(self, monkeypatch,
                                                        tmp_path):
         # all values' scans are one batch, 18,863 points for panel a, in
-        # blocks of POINT_BLOCK; golden_min probes alone
+        # blocks of POINT_BLOCK; brent_min probes alone
         calls = self.count(monkeypatch, tmp_path,
                            ["sweep", "--set", "grid=refined"],
-                           alone=("golden_min",))
+                           alone=("brent_min",))
         assert calls["elsewhere"] == 0 and calls["scalar"] > 0
         assert calls["batched"] == -(-18863 // POINT_BLOCK) == 19
 

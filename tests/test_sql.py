@@ -11,11 +11,13 @@ from omdp_sense import (DetectorParams, ParameterError,
                         fit_shot_backaction, minimize_over_g_analytic,
                         minimize_over_g_numeric, omega_eff, r_factors, r_map,
                         s_add, s_min_sweep, som_sql)
-from omdp_sense.checks import (random_t0, reference_params as params,
-                               s_add_in_g)
+from omdp_sense import optimize, sensing
+from omdp_sense.checks import (random_params, random_t0,
+                               reference_params as params, s_add_in_g)
 from omdp_sense.cli import PANELS
 from omdp_sense.exact import Exact
-from omdp_sense.optimize import golden_min, log_grid, scan_then_golden
+from omdp_sense.optimize import (brent_min, golden_min, log_grid,
+                                 scan_then_golden)
 from omdp_sense.sql import SWEEP_POINTS, SWEEP_SPAN, _s_sql, _shot_backaction
 
 
@@ -51,6 +53,118 @@ class TestGoldenSection:
         assert abs(fx - 1.0) < 1e-9
 
 
+def counted(f):
+    """f, and the list of points it is called at."""
+    calls = []
+
+    def at(x):
+        calls.append(x)
+        return f(x)
+    return at, calls
+
+
+@pytest.fixture
+def both_polishes(monkeypatch):
+    """Make every scan_then_golden call also polish its cell by golden
+    section and by Brent's method; returns, per call, the two results and
+    their objective evaluations: ((golden, n), (brent, n))."""
+    scan, pairs = optimize.scan_then_golden, []
+
+    def both(f, xs, ys, polish=None):
+        pair = []
+        for method in (golden_min, brent_min):
+            at, calls = counted(f)
+            pair.append((scan(at, xs, ys, method), len(calls)))
+        pairs.append(tuple(pair))
+        return scan(f, xs, ys, polish)
+    monkeypatch.setattr(optimize, "scan_then_golden", both)
+    return pairs
+
+
+class TestBrent:
+    """brent_min on objectives with a known minimum, and against golden_min,
+    the slow reference, at every kind of polish the CLI runs."""
+
+    def test_parabola(self):
+        # values resolve x to about sqrt(eps * 0.5 / 3) = 4e-9
+        parabola = lambda x: 3.0 * (x - 1.3) ** 2 + 0.5
+        f, calls = counted(parabola)
+        x, fx = brent_min(f, 0.2, 3.0)
+        assert abs(x - 1.3) < 1e-8 and fx == 0.5
+        g, golden_calls = counted(parabola)
+        golden_min(g, 0.2, 3.0)
+        assert len(calls) < len(golden_calls)
+
+    def test_skewed_quartic(self):
+        # x^4 - 3x^3 + 2: f' = x^2 (4x - 9), the minimum at x = 9/4
+        f = lambda x: x ** 4 - 3.0 * x ** 3 + 2.0
+        x, fx = brent_min(f, 1.0, 4.0)
+        assert x == pytest.approx(2.25, rel=1e-7)
+        assert fx == pytest.approx(f(2.25), rel=1e-15)
+        golden = golden_min(f, 1.0, 4.0)[1]
+        assert fx <= golden + 1e-12 * abs(golden)
+
+    @pytest.mark.parametrize("a, b, end", [(0.0, 1.0, 1.0), (6.0, 9.0, 6.0)])
+    def test_minimum_at_a_bracket_end(self, a, b, end):
+        x, fx = brent_min(lambda x: (x - 5.0) ** 2, a, b)
+        assert a <= x <= b and abs(x - end) <= 4e-10 * abs(end)
+        assert fx == (x - 5.0) ** 2
+
+    def test_an_error_of_the_objective_propagates(self):
+        f, calls = counted(lambda x: (x - 1.0) ** 2)
+
+        def fails(x):
+            if len(calls) == 3:
+                raise PolishError
+            return f(x)
+        with pytest.raises(PolishError):
+            brent_min(fails, 0.0, 3.0)
+        with pytest.raises(ZeroDivisionError):
+            brent_min(lambda x: 1.0 / 0.0, 0.0, 3.0)
+
+    def no_worse_than_golden(self, pairs):
+        # each minimum at most 1e-12 above golden's, on the same side of
+        # the scan's ends, for fewer evaluations
+        assert pairs
+        for ((_, g, g_edge), g_n), ((_, b, b_edge), b_n) in pairs:
+            assert b <= g + 1e-12 * abs(g)
+            assert b_edge == g_edge and b_n < g_n
+
+    @pytest.mark.parametrize("panel", sorted(PANELS))
+    def test_refined_fixed_g_sweeps(self, both_polishes, panel):
+        name, lo, hi, points, spacing = PANELS[panel]
+        values = (np.geomspace if spacing == "log" else np.linspace)(
+            lo, hi, points)
+        s_min_sweep(params(nth1=10.0, nth2=10.0), name, values,
+                    grid="refined")
+        self.no_worse_than_golden(both_polishes)
+
+    def test_numeric_coupling_optima(self, both_polishes):
+        # validate's kind of set
+        rng = np.random.default_rng(3203)
+        ps, ws = zip(*(random_t0(rng) for _ in range(40)))
+        minimize_over_g_numeric(ps, ws, [default_g_range(p) for p in ps])
+        self.no_worse_than_golden(both_polishes)
+
+    def test_single_oscillator_floors(self, both_polishes):
+        rng = np.random.default_rng(3204)
+        for _ in range(20):
+            sensing.som_noise_floor(random_params(rng))
+        self.no_worse_than_golden(both_polishes)
+
+    @pytest.mark.parametrize("mode", ["fixed_g", "sql"])
+    def test_only_the_sql_sweep_keeps_golden(self, monkeypatch, mode):
+        # golden's g_opt path is pinned at rel 1e-9, so mode=sql gives
+        # golden's results exactly, and fixed_g does not
+        template = params(nth1=0.0, nth2=0.0)
+        values = np.linspace(0.0, 0.5, 11)
+        got = s_min_sweep(template, "v", values, mode=mode, grid="refined")
+        monkeypatch.setattr(optimize, "brent_min", golden_min)
+        golden = s_min_sweep(template, "v", values, mode=mode,
+                             grid="refined")
+        assert (got == golden) is (mode == "sql")
+
+
 class TestAnalyticMinimizer:
     def test_synthetic_balance(self):
         # p = q = 1, r = 0 gives s_sql = 2 at g = 1; checked through the
@@ -69,6 +183,13 @@ class TestAnalyticMinimizer:
     def test_rejects_non_finite_frequency(self):
         with pytest.raises(StructureViolationError):
             minimize_over_g_analytic(params(), math.nan)
+
+    def test_refuses_a_term_that_is_not_finite(self):
+        # at kappa = 1e-300 on resonance q overflows and r is inf - inf;
+        # the limit would be NaN with g_opt = 0
+        with pytest.raises(StructureViolationError,
+                           match=r"term q is not finite \(q = inf\)"):
+            minimize_over_g_analytic(params(kappa=1e-300), 1.0)
 
     def test_uncoupled_limit_frozen(self):
         p = params(v_coupling=0.0)
@@ -170,7 +291,7 @@ class TestArrayOptimum:
     @pytest.mark.parametrize("fields", [
         dict(delta_prime=-1e308),            # complex division by zero
         dict(gamma1=1e308, gamma2=1e308),    # overflow
-        dict(kappa=1e-300),                  # not finite, no raise
+        dict(kappa=1e-300),                  # q not finite at omega = 1
         # finite points, then one with no shot/back-action balance
         dict(gamma1=1e-300, gamma2=1e-300, kappa=1e-150)])
     def test_bad_points_keep_scalar_values_and_errors(self, fields):
